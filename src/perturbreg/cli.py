@@ -75,10 +75,10 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _csv_text(header: list[str], columns: list[np.ndarray]) -> str:
-    lines = [",".join(header)]
-    for row in zip(*columns):
-        lines.append(",".join(fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+    # repr of a Python float is what ``fmt`` prints; tolist() makes the
+    # floats in one C loop instead of one numpy scalar per value.
+    cells = [map(repr, np.asarray(col, dtype=float).tolist()) for col in columns]
+    return "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n"
 
 
 class _CsvError(Exception):
@@ -104,7 +104,11 @@ def read_csv_columns(path) -> tuple[list[str], np.ndarray]:
             rows.append([float(field) for field in fields])
         except ValueError as exc:
             raise _CsvError(f"line {idx}: {exc}") from exc
-    return header, np.asarray(rows, dtype=float)
+    data = np.asarray(rows, dtype=float)
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        raise _CsvError(f"line {int(np.argmin(finite)) + 2}: non-finite value")
+    return header, data
 
 
 def _fail(message: str, code: int) -> int:
@@ -240,6 +244,9 @@ def _cmd_experiment(args) -> int:
         return _fail(f"--seeds must be >= 1, got {args.seeds}", EXIT_USAGE)
     if args.n < 2:
         return _fail(f"--n must be >= 2, got {args.n}", EXIT_USAGE)
+    if args.seed < 0:
+        return _fail(f"--seed (or ${SEED_ENV_VAR}) must be >= 0, got {args.seed}",
+                     EXIT_USAGE)
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -1,6 +1,10 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ import pytest
 from perturbreg.cli import (
     DEFAULT_SEED,
     SEED_ENV_VAR,
+    _csv_text,
     fmt,
     main,
     read_csv_columns,
@@ -39,6 +44,14 @@ class TestFloatFormat:
     def test_short_values_stay_short(self):
         assert fmt(0.01) == "0.01"
         assert fmt(2.0) == "2.0"
+
+    def test_csv_text_matches_per_value_format(self):
+        values = [-0.0, 5e-324, 1e-300, 1e16, 0.1, 3.0]
+        columns = [np.asarray(values), np.asarray(values[::-1]),
+                   np.asarray(values, dtype=np.float32)]
+        expected = "a,b,c\n" + "".join(
+            ",".join(fmt(v) for v in row) + "\n" for row in zip(*columns))
+        assert _csv_text(["a", "b", "c"], columns) == expected
 
 
 class TestDifferentiate:
@@ -108,6 +121,13 @@ class TestDifferentiate:
         bad = tmp_path / "bad.csv"
         bad.write_text("t,y\n1.0,1.0\n0.5,2.0\n0.0,3.0\n")
         assert main(["differentiate", str(bad), "--alpha", "0.1"]) == 3
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_sample_rejected(self, tmp_path, capsys, value):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"t,y\n0.0,1.0\n0.5,{value}\n1.0,3.0\n")
+        assert main(["differentiate", str(bad), "--alpha", "0.1"]) == 2
+        assert capsys.readouterr().err == "error: malformed CSV: line 3: non-finite value\n"
 
     def test_nonpositive_alpha_rejected(self, tmp_path):
         assert main(["differentiate", str(linear_csv(tmp_path)), "--alpha", "-1"]) == 2
@@ -183,6 +203,20 @@ class TestSolve:
         assert main(["solve", str(tmp_path / "missing.json")]) == 2
         bad = write_json(tmp_path, {"rhs": [1.0]}, name="bad.json")
         assert main(["solve", str(bad)]) == 2
+
+    @pytest.mark.parametrize("matrix, rhs", [
+        ("[[2.0, 0.0], [NaN, 1.0]]", "[1.0, 1.0]"),
+        ("[[2.0, 0.0], [0.0, 1.0]]", "[1e999, 1.0]"),
+        ("[[2.0, 0.0], [0.0, 1.0]]", "[1.0, NaN]"),
+        ("[[2.0, 0.0], [0.0, 1.0]]", "[1.0, 1" + "0" * 400 + "]"),
+    ])
+    def test_non_finite_numbers_exit_2(self, tmp_path, capsys, matrix, rhs):
+        path = tmp_path / "p.json"
+        path.write_text(f'{{"matrix": {matrix}, "rhs": {rhs}, "delta": 0.01, '
+                        f'"alpha": 0.1, "stabilizer": {{"scalar_alpha": {{}}}}}}')
+        assert main(["solve", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: schema violation at ") and err.count("\n") == 1
 
     def test_singular_system_exit_5(self, tmp_path):
         payload = {
@@ -270,6 +304,18 @@ class TestExperiment:
         monkeypatch.setenv(SEED_ENV_VAR, "not-a-number")
         assert main(["experiment", "--example", "1", "--out", str(tmp_path)]) == 2
 
+    def test_negative_env_seed(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv(SEED_ENV_VAR, "-1")
+        assert main(["experiment", "--example", "1", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: --seed (or ${SEED_ENV_VAR}) must be >= 0, got -1\n"
+
+    def test_negative_seed_flag(self, tmp_path, capsys):
+        assert main(["experiment", "--example", "1", "--seed", "-1",
+                     "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: --seed (or ${SEED_ENV_VAR}) must be >= 0, got -1\n"
+
     def test_bad_flags(self, tmp_path):
         out = str(tmp_path / "runs")
         assert main(["experiment", "--example", "1", "--deltas", "0.1,-0.5",
@@ -348,6 +394,17 @@ class TestTopLevel:
 
     def test_unknown_flag_is_usage_error(self, tmp_path):
         assert main(["differentiate", "nope.csv", "--frobnicate"]) == 2
+
+    def test_cli_import_leaves_jsonschema_out(self):
+        # Problem files are validated without jsonschema; importing it would
+        # add its start-up time to every command.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = "import sys, perturbreg.cli; print('jsonschema' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out == "False\n"
 
 
 def read_csv_columns_from_text(text):
