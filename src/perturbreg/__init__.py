@@ -63,6 +63,7 @@ from .solve import (
     RegConfig,
     SolveReport,
     SqrtDelta,
+    c_alpha_estimate,
     chain_solve,
     coordinate_alpha,
     error_bound,
@@ -105,6 +106,7 @@ __all__ = [
     "WindowTooNarrow",
     "add_noise",
     "build_stabilizer",
+    "c_alpha_estimate",
     "chain_solve",
     "convergence_study",
     "coordinate_alpha",

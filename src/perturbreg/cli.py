@@ -1,7 +1,8 @@
 """Command-line interface: differentiate, solve, experiment, sweep.
 
 Exit codes: 0 success, 2 malformed input (flags, CSV, problem file),
-3 non-uniform sample grid, 4 alpha below grid spacing under --strict,
+3 non-uniform sample grid, 4 alpha below grid spacing (differentiate under
+--strict; experiment when exp(-h/alpha) is below double precision),
 5 singular stabilized system. All file output is written atomically
 (temp file in the target directory, then rename) and floats are printed
 with shortest round-trip precision, so re-reading a produced CSV recovers
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -28,12 +30,19 @@ from .errors import (
     ProblemFormatError,
     SingularSystem,
 )
-from .experiments import run_experiment
+from .experiments import example_interval, run_experiment
 from .fredholm import solve_fredholm_regularized
 from .grid import GridFunction
 from .operators import Stabilizer
 from .problems import Problem, load_problem, parse_rule
-from .solve import RegConfig, coordinate_alpha, solve_perturbed, stabilization_gap
+from .solve import (
+    RegConfig,
+    SqrtDelta,
+    c_alpha_estimate,
+    coordinate_alpha,
+    solve_perturbed,
+    stabilization_gap,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -244,13 +253,31 @@ def _cmd_experiment(args) -> int:
         return _fail(f"--seeds must be >= 1, got {args.seeds}", EXIT_USAGE)
     if args.n < 2:
         return _fail(f"--n must be >= 2, got {args.n}", EXIT_USAGE)
-    if args.seed < 0:
-        return _fail(f"--seed (or ${SEED_ENV_VAR}) must be >= 0, got {args.seed}",
-                     EXIT_USAGE)
+    seed = args.seed
+    if seed is None:
+        raw = os.environ.get(SEED_ENV_VAR, str(DEFAULT_SEED))
+        try:
+            seed = int(raw)
+        except ValueError:
+            return _fail(f"{SEED_ENV_VAR} must be an integer", EXIT_USAGE)
+    if seed < 0:
+        return _fail(f"--seed (or ${SEED_ENV_VAR}) must be >= 0, got {seed}", EXIT_USAGE)
+    # run_experiment takes alpha = sqrt(delta). Once the resolvent's decay
+    # per grid panel, exp(-h/alpha), is below double precision, no sample
+    # carries into the next: the run only scales the data by about
+    # h/(2 alpha^2), and its errors measure nothing.
+    a, b = example_interval(args.example)
+    h = (b - a) / (args.n - 1)
+    for delta in deltas:
+        alpha = coordinate_alpha(delta, SqrtDelta())
+        if math.exp(-h / alpha) < sys.float_info.epsilon:
+            return _fail(f"--deltas: delta={fmt(delta)} gives alpha={fmt(alpha)}, too far "
+                         f"below the grid spacing h={fmt(h)}: exp(-h/alpha) is below "
+                         "double precision", EXIT_ALPHA_SMALL)
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    seeds = [args.seed + i for i in range(args.seeds)]
+    seeds = [seed + i for i in range(args.seeds)]
 
     table_rows = []
     plot_report = None
@@ -316,12 +343,7 @@ def _cmd_sweep(args) -> int:
             gap = stabilization_gap(op, stab, alpha, problem.exact_solution)
         except SingularSystem as exc:
             return _fail(str(exc), EXIT_SINGULAR)
-        if op.is_volterra and stab.is_scalar:
-            c_est = 2.0 / alpha
-        else:
-            assembled = op.as_matrix() + stab.materialize(alpha, op.size)
-            sigma_min = float(np.linalg.svd(assembled, compute_uv=False)[-1])
-            c_est = float("inf") if sigma_min == 0.0 else 1.0 / sigma_min
+        c_est = c_alpha_estimate(op, stab, alpha)
         rows[0].append(alpha)
         rows[1].append(gap)
         rows[2].append(c_est)
@@ -330,13 +352,6 @@ def _cmd_sweep(args) -> int:
     _emit(_csv_text(["alpha", "S", "c_alpha_est", "q_est"],
                     [np.asarray(r) for r in rows]), args.out)
     return EXIT_OK
-
-
-def _default_seed() -> int:
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return DEFAULT_SEED
-    return int(raw)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -375,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated noise levels (default 0.1,0.01,0.001)")
     e.add_argument("--seeds", type=int, default=21,
                    help="number of consecutive seeds per noise level (default 21)")
-    e.add_argument("--seed", type=int, default=_default_seed(),
+    e.add_argument("--seed", type=int,
                    help=f"base seed (default 42, or ${SEED_ENV_VAR})")
     e.add_argument("--n", type=int, default=512, help="grid size (default 512)")
     e.add_argument("--out", required=True, help="output directory")
@@ -391,11 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        parser = build_parser()
-    except ValueError:
-        return _fail(f"{SEED_ENV_VAR} must be an integer", EXIT_USAGE)
-    try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     return args.func(args)

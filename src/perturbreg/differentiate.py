@@ -14,10 +14,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .errors import AlphaTooSmall, WindowTooNarrow
 from .grid import GridFunction
+from .operators import first_order_scan, running_trapezoid
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,7 @@ class DerivativeResult:
 
 def volterra_apply(x: GridFunction) -> GridFunction:
     """Running trapezoid integral of the samples; the first output is 0."""
-    return x.with_values(cumulative_trapezoid(x.values, dx=x.h, initial=0.0))
+    return x.with_values(running_trapezoid(x.values, x.h))
 
 
 def resolvent_apply(g: GridFunction, alpha: float) -> GridFunction:
@@ -67,12 +67,14 @@ def resolvent_apply(g: GridFunction, alpha: float) -> GridFunction:
 
         x(t) = g(t)/alpha - (1/alpha^2) * int_a^t exp(-(t-s)/alpha) g(s) ds
 
-    The convolution is evaluated by an O(n) recurrence over trapezoid panels,
+    The convolution w is the trapezoid sum with kernel weights, which obeys
+    the first-order recurrence over trapezoid panels
 
         w_0 = 0,   w_i = r * w_{i-1} + (h/2) * (g_i + r * g_{i-1}),
 
-    with r = exp(-h/alpha); this is algebraically identical to the direct
-    O(n^2) trapezoid sum with kernel weights.
+    with r = exp(-h/alpha). ``first_order_scan`` evaluates it in O(n) numpy
+    operations, in blocks, without a Python loop over the samples; it agrees
+    with the direct O(n^2) sum up to rounding.
 
     Warns
     -----
@@ -90,11 +92,10 @@ def resolvent_apply(g: GridFunction, alpha: float) -> GridFunction:
         )
     vals = g.values
     r = math.exp(-h / alpha)
-    half_h = 0.5 * h
-    conv = np.empty_like(vals)
-    conv[0] = 0.0
-    for i in range(1, vals.size):
-        conv[i] = r * conv[i - 1] + half_h * (vals[i] + r * vals[i - 1])
+    panels = np.empty_like(vals)
+    panels[0] = 0.0
+    panels[1:] = 0.5 * h * (vals[1:] + r * vals[:-1])
+    conv = first_order_scan(panels, r)
     return g.with_values(vals / alpha - conv / alpha**2)
 
 

@@ -6,9 +6,17 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .grid import GridFunction
+
+# Samples per block of ``first_order_scan``. Each sample costs one row of a
+# matrix product this wide; smaller blocks would add recursion levels, each a
+# few more numpy calls, and larger ones flops.
+_SCAN_BLOCK = 64
+# Index of r^(j-m) in [r^0, ..., r^64, 0] for entry [j, m] of the scan's
+# lower-triangular power matrix; entries above the diagonal index the 0.
+_SCAN_LAGS = np.subtract.outer(np.arange(_SCAN_BLOCK), np.arange(_SCAN_BLOCK))
+_SCAN_LAGS[_SCAN_LAGS < 0] = _SCAN_BLOCK + 1
 
 
 def trapezoid_weights(n: int, h: float) -> np.ndarray:
@@ -16,6 +24,42 @@ def trapezoid_weights(n: int, h: float) -> np.ndarray:
     w = np.full(n, h)
     w[0] = w[-1] = 0.5 * h
     return w
+
+
+def running_trapezoid(y: np.ndarray, h: float) -> np.ndarray:
+    """Running trapezoid integral of uniform samples y with spacing h; the first value is 0.
+
+    Same operations in the same order as ``scipy.integrate.cumulative_trapezoid``
+    with ``dx=h, initial=0``, so the result is bit-identical to it.
+    """
+    y = np.asarray(y, dtype=float)
+    out = np.empty(y.size)
+    out[:1] = 0.0
+    np.cumsum(h * (y[1:] + y[:-1]) / 2.0, out=out[1:])
+    return out
+
+
+def first_order_scan(u: np.ndarray, r: float) -> np.ndarray:
+    """The recurrence w_0 = u_0, w_i = r * w_{i-1} + u_i, for |r| <= 1, in O(n).
+
+    No Python loop over i: the samples are cut into blocks of 64. Inside a
+    block, w is the block's input times the lower-triangular matrix of powers
+    r^(j-m). The value at each block end then carries into the next block as
+    r^(j+1) * carry; the carries obey the same recurrence with ratio r^64, so
+    the same scan solves them, one level up.
+    """
+    u = np.asarray(u, dtype=float)
+    n = u.size
+    blocks = -(-n // _SCAN_BLOCK)
+    padded = np.zeros((blocks, _SCAN_BLOCK))
+    padded.reshape(-1)[:n] = u
+    pw = r ** np.arange(_SCAN_BLOCK + 2)
+    pw[-1] = 0.0
+    w = padded @ pw[_SCAN_LAGS].T
+    if blocks > 1:
+        carry = first_order_scan(w[:, -1], pw[_SCAN_BLOCK])
+        w[1:] += carry[:-1, None] * pw[1:-1]
+    return w.reshape(-1)[:n]
 
 
 def cumulative_trapezoid_matrix(n: int, h: float) -> np.ndarray:
@@ -89,8 +133,34 @@ class DiscreteOperator:
         if x.size != self.size:
             raise ValueError(f"operand size {x.size} does not match operator size {self.size}")
         if self.is_volterra:
-            return cumulative_trapezoid(x, dx=self.h, initial=0.0)
+            return running_trapezoid(x, self.h)
         return self.matrix @ x
+
+    def solve_shifted(self, alpha: float, f: np.ndarray) -> np.ndarray:
+        """(V + alpha * I)^-1 f for the running integral V, in O(n) and without its matrix.
+
+        The system is lower-triangular with constant bands. Row 0 reads
+        alpha * x_0 = f_0, and row i minus row i-1 leaves the first-order
+        recurrence
+
+            x_i = r * x_{i-1} + (f_i - f_{i-1}) / (alpha + h/2),
+            r = (alpha - h/2) / (alpha + h/2),
+
+        with |r| < 1 for every alpha > 0. The result is not checked for
+        overflow; a tiny alpha can return non-finite values.
+        """
+        if not self.is_volterra:
+            raise ValueError("solve_shifted needs the running-integral operator")
+        if alpha <= 0.0:
+            raise ValueError(f"alpha must be positive, got {alpha}")
+        f = np.asarray(f, dtype=float)
+        if f.size != self.n:
+            raise ValueError(f"operand size {f.size} does not match operator size {self.n}")
+        half_h = 0.5 * self.h
+        u = np.empty(f.size)
+        u[0] = f[0] / alpha
+        u[1:] = np.diff(f) / (alpha + half_h)
+        return first_order_scan(u, (alpha - half_h) / (alpha + half_h))
 
 
 def _stack(vectors, name: str) -> np.ndarray:

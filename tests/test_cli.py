@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from perturbreg import AlphaTooSmall, DiscreteOperator, Stabilizer, c_alpha_estimate, operators
 from perturbreg.cli import (
     DEFAULT_SEED,
     SEED_ENV_VAR,
@@ -34,6 +35,27 @@ def write_json(tmp_path, payload, name="problem.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return path
+
+
+def volterra_payload(n=33):
+    t = np.linspace(0.0, 1.0, n)
+    return {
+        "operator": "volterra",
+        "rhs": [0.0] * n,
+        "stabilizer": {"scalar_alpha": {}},
+        "delta": 0.01,
+        "alpha": 0.1,
+        "exact_solution": list(t),
+    }
+
+
+def run_in_fresh_interpreter(code):
+    """Run ``code`` in a new interpreter with this checkout's package on the path."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
 
 
 class TestFloatFormat:
@@ -76,6 +98,16 @@ class TestDifferentiate:
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         assert main(["differentiate", str(src), "--alpha", "0.1", "--out", str(out1)]) == 0
         assert main(["differentiate", str(src), "--alpha", "0.1", "--out", str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+
+    def test_large_input_is_bit_stable(self, tmp_path):
+        # 50 000 rows run the resolvent scan through two levels of blocks
+        t = np.linspace(0.0, 3.0, 50_000)
+        y = np.sin(t) + 0.01 * np.random.default_rng(9).standard_normal(t.size)
+        src = write_csv(tmp_path / "big.csv", t, y)
+        out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["differentiate", str(src), "--delta", "0.01", "--out", str(out1)]) == 0
+        assert main(["differentiate", str(src), "--delta", "0.01", "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_no_stray_temp_files(self, tmp_path):
@@ -304,6 +336,24 @@ class TestExperiment:
         monkeypatch.setenv(SEED_ENV_VAR, "not-a-number")
         assert main(["experiment", "--example", "1", "--out", str(tmp_path)]) == 2
 
+    def test_non_integer_env_seed_message(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv(SEED_ENV_VAR, "abc")
+        outdir = tmp_path / "runs"
+        assert main(["experiment", "--example", "1", "--out", str(outdir)]) == 2
+        assert capsys.readouterr().err == f"error: {SEED_ENV_VAR} must be an integer\n"
+        assert not outdir.exists()
+
+    def test_default_seed_without_env(self, tmp_path, monkeypatch):
+        monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+        outdir = tmp_path / "runs"
+        assert main(["experiment", "--example", "1", "--deltas", "0.01",
+                     "--seeds", "1", "--n", "64", "--out", str(outdir)]) == 0
+        assert (outdir / f"example1_delta0.01_seed{DEFAULT_SEED}.csv").exists()
+
+    def test_explicit_seed_ignores_bad_env(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(SEED_ENV_VAR, "abc")
+        assert self.run_small(tmp_path / "runs") == 0
+
     def test_negative_env_seed(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv(SEED_ENV_VAR, "-1")
         assert main(["experiment", "--example", "1", "--out", str(tmp_path)]) == 2
@@ -324,19 +374,42 @@ class TestExperiment:
         assert main(["experiment", "--example", "1", "--n", "1", "--out", out]) == 2
         assert main(["experiment", "--example", "3", "--out", out]) == 2
 
+    def test_alpha_below_grid_spacing_exits_4(self, tmp_path, capsys):
+        # alpha = sqrt(1e-300) = 1e-150, far below h = 3/127 on example 1
+        outdir = tmp_path / "runs"
+        code = main(["experiment", "--example", "1", "--deltas", "0.01,1e-300",
+                     "--seeds", "2", "--n", "128", "--out", str(outdir)])
+        assert code == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --deltas: delta=1e-300 gives alpha={fmt(1e-150)}, too far below the "
+            f"grid spacing h={fmt(3.0 / 127)}: exp(-h/alpha) is below double precision\n")
+        assert not outdir.exists()
+
+    def test_alpha_check_uses_the_example_grid(self, tmp_path):
+        # alpha = 8e-4 at n = 129: exp(-h/alpha) is 2e-13 on example 1's
+        # [0, 3] (h = 3/128) and 6e-22 on example 2's [0, 5] (h = 5/128)
+        argv = ["--deltas", "6.4e-7", "--seeds", "1", "--n", "129"]
+        with pytest.warns(AlphaTooSmall):
+            assert main(["experiment", "--example", "1", *argv,
+                         "--out", str(tmp_path / "one")]) == 0
+        assert main(["experiment", "--example", "2", *argv,
+                     "--out", str(tmp_path / "two")]) == 4
+
+    def test_alpha_check_threshold(self, tmp_path, capsys):
+        # h/alpha = 36 passes (exp(-36) = 2.3e-16 > eps = 2.2e-16); 37 does not
+        h = 3.0 / 127
+        argv = ["experiment", "--example", "1", "--seeds", "1", "--n", "128"]
+        assert main([*argv, "--deltas", repr((h / 37) ** 2), "--out", str(tmp_path / "a")]) == 4
+        with pytest.warns(AlphaTooSmall):
+            assert main([*argv, "--deltas", repr((h / 36) ** 2),
+                         "--out", str(tmp_path / "b")]) == 0
+
 
 class TestSweep:
     def volterra_payload(self):
-        n = 33
-        t = np.linspace(0.0, 1.0, n)
-        return {
-            "operator": "volterra",
-            "rhs": [0.0] * n,
-            "stabilizer": {"scalar_alpha": {}},
-            "delta": 0.01,
-            "alpha": 0.1,
-            "exact_solution": list(t),
-        }
+        return volterra_payload()
 
     def test_sweep_reports_gap_and_margin(self, tmp_path, capsys):
         path = write_json(tmp_path, self.volterra_payload())
@@ -375,6 +448,26 @@ class TestSweep:
                      "--out", str(o2)]) == 0
         assert o1.read_bytes() == o2.read_bytes()
 
+    def test_dense_c_alpha_from_library_routine(self, tmp_path, capsys):
+        rng = np.random.default_rng(21)
+        m = rng.standard_normal((6, 6))
+        payload = {"matrix": m.tolist(), "rhs": [0.0] * 6, "stabilizer": {"scalar_alpha": {}},
+                   "delta": 0.01, "alpha": 0.1, "exact_solution": [1.0] * 6}
+        assert main(["sweep", str(write_json(tmp_path, payload)), "--alphas", "0.3,0.05"]) == 0
+        _, rows = read_csv_columns_from_text(capsys.readouterr().out)
+        op = DiscreteOperator.dense(m)
+        assert list(rows[:, 2]) == [c_alpha_estimate(op, Stabilizer.scalar_alpha(), a)
+                                    for a in (0.3, 0.05)]
+
+    def test_volterra_never_builds_the_matrix(self, tmp_path, monkeypatch):
+        def refuse(n, h):
+            raise AssertionError("the running-integral matrix was built")
+        monkeypatch.setattr(operators, "cumulative_trapezoid_matrix", refuse)
+        path = write_json(tmp_path, volterra_payload(n=4097))
+        assert main(["sweep", str(path), "--alphas", "0.3,0.1,0.001",
+                     "--out", str(tmp_path / "s.csv")]) == 0
+        assert main(["solve", str(path), "--out", str(tmp_path / "r.json")]) == 0
+
     def test_needs_exact_solution(self, tmp_path):
         payload = self.volterra_payload()
         del payload["exact_solution"]
@@ -398,13 +491,24 @@ class TestTopLevel:
     def test_cli_import_leaves_jsonschema_out(self):
         # Problem files are validated without jsonschema; importing it would
         # add its start-up time to every command.
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
         code = "import sys, perturbreg.cli; print('jsonschema' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True).stdout
-        assert out == "False\n"
+        assert run_in_fresh_interpreter(code) == "False\n"
+
+    def test_cli_import_leaves_scipy_out(self):
+        # The running integral and its shifted inverse are numpy only; scipy
+        # is a test-time reference and would add its start-up time.
+        code = ("import sys, perturbreg.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        assert run_in_fresh_interpreter(code) == "[]\n"
+
+    def test_seed_env_ignored_outside_experiment(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(SEED_ENV_VAR, "abc")
+        problem = write_json(tmp_path, volterra_payload())
+        assert main(["solve", str(problem), "--out", str(tmp_path / "r.json")]) == 0
+        assert main(["sweep", str(problem), "--alphas", "0.1",
+                     "--out", str(tmp_path / "s.csv")]) == 0
+        assert main(["differentiate", str(linear_csv(tmp_path)), "--alpha", "0.1",
+                     "--out", str(tmp_path / "d.csv")]) == 0
 
 
 def read_csv_columns_from_text(text):

@@ -1,6 +1,7 @@
 """Tests for resolvent smoothing and the derivative estimator."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -34,6 +35,17 @@ def direct_resolvent(g: GridFunction, alpha: float) -> np.ndarray:
     return out
 
 
+def loop_resolvent(g: GridFunction, alpha: float) -> np.ndarray:
+    """Reference: the panel recurrence of resolvent_apply, one sample at a time."""
+    vals, h = g.values, g.h
+    r = math.exp(-h / alpha)
+    conv = np.empty_like(vals)
+    conv[0] = 0.0
+    for i in range(1, vals.size):
+        conv[i] = r * conv[i - 1] + 0.5 * h * (vals[i] + r * vals[i - 1])
+    return vals / alpha - conv / alpha**2
+
+
 class TestVolterraApply:
     def test_starts_at_zero(self):
         g = GridFunction.sample(np.cos, 0.0, 2.0, 101)
@@ -55,6 +67,27 @@ class TestResolventApply:
             slow = direct_resolvent(g, alpha)
             scale = np.max(np.abs(slow))
             np.testing.assert_allclose(fast, slow, rtol=0, atol=1e-12 * max(scale, 1.0))
+
+    @pytest.mark.parametrize("n", [2, 65, 4097, 50_000])
+    def test_matches_python_loop(self, n):
+        # the blocked scan sums in another order than the loop: equal up to
+        # rounding, relative to the largest output value
+        rng = np.random.default_rng(n)
+        g = GridFunction(0.0, 3.0, rng.standard_normal(n))
+        for alpha in (1.0, 0.05, 10.0 * g.h, g.h, g.h / 4):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", AlphaTooSmall)
+                fast = resolvent_apply(g, alpha).values
+            slow = loop_resolvent(g, alpha)
+            np.testing.assert_allclose(fast, slow, rtol=0,
+                                       atol=1e-13 * np.max(np.abs(slow)))
+
+    def test_same_input_same_bits(self):
+        rng = np.random.default_rng(50_000)
+        g = GridFunction(0.0, 3.0, rng.standard_normal(50_000))
+        first = resolvent_apply(g, 0.1).values
+        for _ in range(3):
+            assert resolvent_apply(g, 0.1).values.tobytes() == first.tobytes()
 
     def test_constant_input_analytic(self):
         # g = k: output is (k/alpha) * exp(-(t-a)/alpha)
@@ -101,8 +134,6 @@ class TestResolventApply:
             resolvent_apply(g, 0.01)
 
     def test_no_warning_when_alpha_resolved(self):
-        import warnings
-
         g = GridFunction(0.0, 1.0, np.ones(11))
         with warnings.catch_warnings():
             warnings.simplefilter("error")

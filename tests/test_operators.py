@@ -11,6 +11,17 @@ from perturbreg import (
     cumulative_trapezoid_matrix,
     trapezoid_weights,
 )
+from perturbreg.operators import first_order_scan, running_trapezoid
+
+
+def loop_scan(u, r):
+    """Reference: the recurrence w_i = r * w_{i-1} + u_i, one sample at a time."""
+    w = np.empty(len(u))
+    acc = 0.0
+    for i, value in enumerate(u):
+        acc = r * acc + value
+        w[i] = acc
+    return w
 
 
 class TestTrapezoidWeights:
@@ -49,6 +60,83 @@ class TestCumulativeMatrix:
         t = np.linspace(a, b, n)
         m = cumulative_trapezoid_matrix(n, t[1] - t[0])
         np.testing.assert_allclose(m @ t, (t**2 - a**2) / 2, atol=1e-13)
+
+
+class TestRunningTrapezoid:
+    @pytest.mark.parametrize("n", [2, 3, 64, 65, 1000, 100_001])
+    def test_bit_identical_to_scipy(self, n):
+        rng = np.random.default_rng(n)
+        y = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4, n)
+        h = 2.7 / (n - 1)
+        expect = cumulative_trapezoid(y, dx=h, initial=0.0)
+        got = running_trapezoid(y, h)
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got.view(np.int64), expect.view(np.int64))
+
+    def test_volterra_apply_is_the_helper(self):
+        op = DiscreteOperator.volterra(0.0, 2.0, 513)
+        x = np.random.default_rng(4).standard_normal(513)
+        np.testing.assert_array_equal(op.apply(x), running_trapezoid(x, op.h))
+
+
+class TestFirstOrderScan:
+    # Sizes cross the 64-sample block boundary and the first recursion level
+    # (64 blocks of 64); r covers the endpoints of (-1, 1] the kernel serves.
+    @pytest.mark.parametrize("r", [0.0, 0.3, 0.999999, -0.3, -0.999])
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 64 * 64, 64 * 64 + 1])
+    def test_matches_python_loop(self, r, n):
+        u = np.random.default_rng(n).standard_normal(n)
+        expect = loop_scan(u, r)
+        got = first_order_scan(u, r)
+        assert got.shape == (n,)
+        scale = np.max(np.abs(expect))
+        np.testing.assert_allclose(got, expect, rtol=0, atol=1e-13 * scale)
+
+    def test_r_one_is_cumulative_sum(self):
+        u = np.random.default_rng(2).standard_normal(5000)
+        expect = np.cumsum(u)
+        np.testing.assert_allclose(first_order_scan(u, 1.0), expect, rtol=0,
+                                   atol=1e-13 * np.max(np.abs(expect)))
+
+    def test_empty_input(self):
+        assert first_order_scan(np.zeros(0), 0.5).shape == (0,)
+
+
+class TestSolveShifted:
+    @pytest.mark.parametrize("n", [2, 64, 1024])
+    @pytest.mark.parametrize("alpha_of_h", [lambda h: 0.1, lambda h: h, lambda h: h / 4,
+                                            lambda h: 1e-6],
+                             ids=["0.1", "h", "h/4", "1e-6"])
+    def test_matches_dense_solve(self, n, alpha_of_h):
+        op = DiscreteOperator.volterra(0.0, 1.0, n)
+        alpha = alpha_of_h(op.h)
+        f = np.random.default_rng(n).standard_normal(n)
+        m = cumulative_trapezoid_matrix(n, op.h) + alpha * np.eye(n)
+        expect = np.linalg.solve(m, f)
+        x = op.solve_shifted(alpha, f)
+        np.testing.assert_allclose(x, expect, rtol=0, atol=1e-12 * np.max(np.abs(expect)))
+        # backward stable: the residual sits at rounding level of ||M|| ||x||
+        eps = np.finfo(float).eps
+        scale = np.max(np.abs(m).sum(1)) * np.max(np.abs(x)) + np.max(np.abs(f))
+        assert np.max(np.abs(m @ x - f)) <= n * eps * scale
+
+    def test_inverts_shifted_apply(self):
+        op = DiscreteOperator.volterra(-1.0, 2.0, 777)
+        x = np.random.default_rng(8).standard_normal(777)
+        alpha = 0.03
+        back = op.solve_shifted(alpha, op.apply(x) + alpha * x)
+        np.testing.assert_allclose(back, x, rtol=0, atol=1e-12)
+
+    def test_needs_volterra_operator(self):
+        with pytest.raises(ValueError):
+            DiscreteOperator.dense(np.eye(3)).solve_shifted(0.1, np.ones(3))
+
+    def test_validates_alpha_and_size(self):
+        op = DiscreteOperator.volterra(0.0, 1.0, 8)
+        with pytest.raises(ValueError):
+            op.solve_shifted(0.0, np.ones(8))
+        with pytest.raises(ValueError):
+            op.solve_shifted(0.1, np.ones(9))
 
 
 class TestDiscreteOperator:

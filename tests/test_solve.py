@@ -1,6 +1,7 @@
 """Tests for stabilized solves, margins, and the error certificate."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from perturbreg import (
     SingularSystem,
     SqrtDelta,
     Stabilizer,
+    c_alpha_estimate,
     chain_solve,
     coordinate_alpha,
     error_bound,
@@ -25,6 +27,23 @@ from perturbreg import (
     stabilization_gap,
     stabilization_sweep,
 )
+from perturbreg import operators
+
+SHIFTED_SIZES = [2, 64, 1024]
+SHIFTED_ALPHAS = {"0.1": lambda h: 0.1, "h": lambda h: h, "h/4": lambda h: h / 4,
+                  "1e-6": lambda h: 1e-6}
+
+
+def dense_shifted(n, h, alpha):
+    return operators.cumulative_trapezoid_matrix(n, h) + alpha * np.eye(n)
+
+
+@pytest.fixture
+def no_densify(monkeypatch):
+    """Make building the running-integral matrix fail."""
+    def refuse(n, h):
+        raise AssertionError("the running-integral matrix was built")
+    monkeypatch.setattr(operators, "cumulative_trapezoid_matrix", refuse)
 
 
 class TestCoordinateAlpha:
@@ -219,6 +238,94 @@ class TestSolvePerturbed:
             e *= delta / np.linalg.svd(e, compute_uv=False)[0]
             sigma_tilde = np.linalg.svd(assembled + e, compute_uv=False)[-1]
             assert 1.0 / sigma_tilde <= c / (1.0 - q) + 1e-12
+
+
+class TestVolterraWithoutMatrix:
+    # Oracle: the dense trapezoid matrix plus alpha * I, solved by LAPACK.
+    @pytest.mark.parametrize("n", SHIFTED_SIZES)
+    @pytest.mark.parametrize("alpha_of_h", SHIFTED_ALPHAS.values(), ids=SHIFTED_ALPHAS.keys())
+    def test_solve_matches_dense_solve(self, n, alpha_of_h):
+        A = DiscreteOperator.volterra(0.0, 1.0, n)
+        alpha = alpha_of_h(A.h)
+        rng = np.random.default_rng(n)
+        f = rng.standard_normal(n)
+        x_star = rng.standard_normal(n)
+        m = dense_shifted(n, A.h, alpha)
+        expect = np.linalg.solve(m, f)
+        rep = solve_perturbed(A, Stabilizer.scalar_alpha(), alpha, f,
+                              RegConfig(delta=0.0, alpha=alpha), x_star=x_star, A_exact=A)
+        np.testing.assert_allclose(rep.solution, expect, rtol=0,
+                                   atol=1e-12 * np.max(np.abs(expect)))
+        assert rep.residual_norm == float(np.max(np.abs(A.apply(rep.solution)
+                                                        + alpha * rep.solution - f)))
+        eps = np.finfo(float).eps
+        assert rep.residual_norm <= n * eps * (np.max(np.abs(m).sum(1))
+                                               * np.max(np.abs(rep.solution)) + np.max(np.abs(f)))
+        assert rep.c_alpha_est == 2.0 / alpha
+        gap = np.max(np.abs(np.linalg.solve(m, alpha * x_star)))
+        assert rep.gap == pytest.approx(gap, rel=1e-12)
+
+    @pytest.mark.parametrize("n", SHIFTED_SIZES)
+    @pytest.mark.parametrize("alpha_of_h", SHIFTED_ALPHAS.values(), ids=SHIFTED_ALPHAS.keys())
+    def test_gap_matches_dense_solve(self, n, alpha_of_h):
+        A = DiscreteOperator.volterra(0.0, 2.0, n)
+        alpha = alpha_of_h(A.h)
+        x_star = np.sin(3.0 * np.linspace(0.0, 2.0, n)) + 0.25
+        expect = np.max(np.abs(np.linalg.solve(dense_shifted(n, A.h, alpha), alpha * x_star)))
+        gap = stabilization_gap(A, Stabilizer.scalar_alpha(), alpha, x_star)
+        assert gap == pytest.approx(expect, rel=1e-12)
+
+    def test_solve_and_gap_never_build_the_matrix(self, no_densify):
+        n, alpha = 2049, 0.01
+        A = DiscreteOperator.volterra(0.0, 1.0, n)
+        t = np.linspace(0.0, 1.0, n)
+        rep = solve_perturbed(A, Stabilizer.scalar_alpha(), alpha, A.apply(t),
+                              RegConfig(delta=1e-4, alpha=alpha), x_star=t, A_exact=A)
+        assert rep.bound is not None
+        stabilization_gap(A, Stabilizer.scalar_alpha(), alpha, t)
+        stabilization_sweep(A, Stabilizer.scalar_alpha(), [0.1, 0.01], t)
+        assert c_alpha_estimate(A, Stabilizer.scalar_alpha(), alpha) == 2.0 / alpha
+
+    def test_non_finite_solution_is_singular(self):
+        # f_0 / alpha overflows: reported as a singular system, as a failed
+        # factorization would be, without a numpy overflow warning
+        A = DiscreteOperator.volterra(0.0, 1.0, 16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularSystem):
+                solve_perturbed(A, Stabilizer.scalar_alpha(), 1e-310, np.ones(16),
+                                RegConfig(delta=0.0, alpha=1e-310))
+
+    def test_volterra_with_finite_rank_stabilizer_stays_dense(self):
+        # only the scalar stabilizer has the recurrence; other pairs assemble
+        n = 33
+        A = DiscreteOperator.volterra(0.0, 1.0, n)
+        e0 = np.zeros(n)
+        e0[0] = 1.0
+        B = Stabilizer.finite_dim([e0], [e0])
+        f = np.linspace(0.0, 1.0, n)
+        rep = solve_perturbed(A, B, 1.0, f, RegConfig(delta=0.0, alpha=1.0))
+        expect = np.linalg.solve(A.as_matrix() + B.materialize(1.0, n), f)
+        np.testing.assert_array_equal(rep.solution, expect)
+
+
+class TestCAlphaEstimate:
+    def test_dense_is_inverse_smallest_singular_value(self):
+        rng = np.random.default_rng(3)
+        m = rng.standard_normal((12, 12))
+        A = DiscreteOperator.dense(m)
+        sigma = np.linalg.svd(m + 0.2 * np.eye(12), compute_uv=False)[-1]
+        assert c_alpha_estimate(A, Stabilizer.scalar_alpha(), 0.2) == 1.0 / sigma
+
+    def test_assembled_matrix_reused(self):
+        A = DiscreteOperator.dense(np.diag([1.0, 2.0]))
+        assembled = np.diag([4.0, 8.0])
+        assert c_alpha_estimate(A, Stabilizer.scalar_alpha(), 0.5, assembled) == 0.25
+
+    def test_singular_gives_infinity(self):
+        A = DiscreteOperator.dense(np.zeros((2, 2)))
+        B = Stabilizer.finite_dim([np.array([1.0, 0.0])], [np.array([1.0, 0.0])])
+        assert c_alpha_estimate(A, B, 1.0) == math.inf
 
 
 class TestStabilizationGap:
