@@ -83,10 +83,12 @@ def _emit(text: str, out: str | None) -> None:
         _atomic_write(Path(out), text)
 
 
-def _csv_text(header: list[str], columns: list[np.ndarray]) -> str:
+def _csv_text(header: list[str], columns: list) -> str:
     # repr of a Python float is what ``fmt`` prints; tolist() makes the
-    # floats in one C loop instead of one numpy scalar per value.
-    cells = [map(repr, np.asarray(col, dtype=float).tolist()) for col in columns]
+    # floats in one C loop instead of one numpy scalar per value. A column
+    # that is a list holds such strings already, printed once for many files.
+    cells = [col if isinstance(col, list) else map(repr, np.asarray(col, dtype=float).tolist())
+             for col in columns]
     return "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n"
 
 
@@ -95,29 +97,54 @@ class _CsvError(Exception):
 
 
 def read_csv_columns(path) -> tuple[list[str], np.ndarray]:
-    """Read a headed numeric CSV as (header, rows); raises _CsvError on junk."""
+    """Read a headed numeric CSV as (header, rows); raises _CsvError on junk.
+
+    Blank lines are skipped; error messages number the lines of the file,
+    blank ones included.
+    """
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise _CsvError(f"cannot read {path}: {exc}") from exc
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    lines = list(filter(None, map(str.strip, text.splitlines())))
     if len(lines) < 2:
         raise _CsvError("need a header line and at least one data row")
     header = [field.strip() for field in lines[0].split(",")]
+    # One numpy pass for well-formed input. loadtxt converts each field with
+    # the interpreter's own PyOS_string_to_double, so the values it accepts
+    # are the ones float() gives. What it rejects (also '1_0' or non-ASCII
+    # digits, which float() takes) goes through the line loop. The one
+    # character loadtxt takes and float() does not is U+001F, which loadtxt
+    # strips around a field as whitespace.
+    data = None
+    if "\x1f" not in text:
+        try:
+            data = np.loadtxt(lines[1:], delimiter=",", comments=None, dtype=float, ndmin=2)
+        except ValueError:
+            pass
+    if data is None or data.shape[1] != len(header) or not np.isfinite(data).all():
+        data = _parse_rows(text, len(header))
+    return header, data
+
+
+def _parse_rows(text: str, width: int) -> np.ndarray:
+    """The data rows of ``text`` converted line by line with float()."""
+    numbered = [(num, line) for num, line in
+                enumerate(map(str.strip, text.splitlines()), start=1) if line]
     rows = []
-    for idx, line in enumerate(lines[1:], start=2):
+    for num, line in numbered[1:]:
         fields = line.split(",")
-        if len(fields) != len(header):
-            raise _CsvError(f"line {idx}: expected {len(header)} fields, got {len(fields)}")
+        if len(fields) != width:
+            raise _CsvError(f"line {num}: expected {width} fields, got {len(fields)}")
         try:
             rows.append([float(field) for field in fields])
         except ValueError as exc:
-            raise _CsvError(f"line {idx}: {exc}") from exc
+            raise _CsvError(f"line {num}: {exc}") from exc
     data = np.asarray(rows, dtype=float)
     finite = np.isfinite(data).all(axis=1)
     if not finite.all():
-        raise _CsvError(f"line {int(np.argmin(finite)) + 2}: non-finite value")
-    return header, data
+        raise _CsvError(f"line {numbered[1 + int(np.argmin(finite))][0]}: non-finite value")
+    return data
 
 
 def _fail(message: str, code: int) -> int:
@@ -281,13 +308,19 @@ def _cmd_experiment(args) -> int:
 
     table_rows = []
     plot_report = None
+    grid = None
+    caught = []
     for delta in deltas:
-        reports = [run_experiment(args.example, delta, seed, n=args.n) for seed in seeds]
+        with warnings.catch_warnings(record=True) as batch:
+            warnings.simplefilter("always")
+            reports = [run_experiment(args.example, delta, seed, n=args.n) for seed in seeds]
+        caught += batch
+        if grid is None:
+            # every run and the plot share the example's grid: print it once
+            grid = list(map(repr, reports[0].derivative.t.tolist()))
         for rep in reports:
             name = f"example{args.example}_delta{fmt(delta)}_seed{rep.seed}.csv"
-            _atomic_write(outdir / name,
-                          _csv_text(["t", "dy"],
-                                    [rep.derivative.t, rep.derivative.values]))
+            _atomic_write(outdir / name, _csv_text(["t", "dy"], [grid, rep.derivative.values]))
         table_rows.append((
             delta,
             reports[0].alpha,
@@ -297,6 +330,9 @@ def _cmd_experiment(args) -> int:
         ))
         if plot_report is None or delta > plot_report.delta:
             plot_report = reports[0]
+    # AlphaTooSmall comes once per run; say each distinct message once.
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        print(f"warning: {message}", file=sys.stderr)
 
     header = ["delta", "alpha", "seed_count",
               "median_max_error_full", "median_max_error_interior"]
@@ -311,7 +347,7 @@ def _cmd_experiment(args) -> int:
     err = np.abs(plot_report.derivative.values - plot_report.exact_derivative.values)
     _atomic_write(outdir / f"example{args.example}_plot.csv",
                   _csv_text(["t", "exact", "computed", "error"],
-                            [plot_report.derivative.t,
+                            [grid,
                              plot_report.exact_derivative.values,
                              plot_report.derivative.values,
                              err]))

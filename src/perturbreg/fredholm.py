@@ -15,18 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BiorthogonalityFailed, DegenerateGram, SingularSystem
-from .operators import DiscreteOperator, Stabilizer
+from .operators import DiscreteOperator, Stabilizer, _stack_vectors
 from .solve import SolveReport, _solve_linear, invertibility_margin
 
 _BIORTHO_TOL = 1e-10
 _DET_TOL = 1e-12
-
-
-def _stack_vectors(vectors, name: str) -> np.ndarray:
-    arr = np.vstack([np.asarray(v, dtype=float).ravel() for v in vectors])
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite")
-    return arr
 
 
 @dataclass(frozen=True)

@@ -81,24 +81,22 @@ class DiscreteOperator:
     """A dense matrix, or the running trapezoid integral on a described grid.
 
     The integral variant stores only the grid (a, b, n); its matrix is
-    materialized on demand. ``norm_hint`` may carry a known operator-norm
-    bound for diagnostics, it is never required.
+    materialized on demand.
     """
 
     matrix: np.ndarray | None = None
     a: float | None = None
     b: float | None = None
     n: int | None = None
-    norm_hint: float | None = None
 
     @classmethod
-    def dense(cls, matrix: np.ndarray, norm_hint: float | None = None) -> "DiscreteOperator":
+    def dense(cls, matrix: np.ndarray) -> "DiscreteOperator":
         m = np.asarray(matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"matrix must be square, got shape {m.shape}")
         if not np.all(np.isfinite(m)):
             raise ValueError("matrix entries must be finite")
-        return cls(matrix=m, norm_hint=norm_hint)
+        return cls(matrix=m)
 
     @classmethod
     def volterra(cls, a: float, b: float, n: int) -> "DiscreteOperator":
@@ -163,11 +161,10 @@ class DiscreteOperator:
         return first_order_scan(u, (alpha - half_h) / (alpha + half_h))
 
 
-def _stack(vectors, name: str) -> np.ndarray:
-    rows = []
-    for v in vectors:
-        rows.append(v.values if isinstance(v, GridFunction) else np.asarray(v, dtype=float))
-    stacked = np.vstack(rows)
+def _stack_vectors(vectors, name: str) -> np.ndarray:
+    """Grid functions or vectors as the raveled rows of one (k, n) array; all finite."""
+    stacked = np.vstack([np.asarray(v.values if isinstance(v, GridFunction) else v,
+                                    dtype=float).ravel() for v in vectors])
     if not np.all(np.isfinite(stacked)):
         raise ValueError(f"{name} must be finite")
     return stacked
@@ -199,8 +196,8 @@ class Stabilizer:
         pairing <., gamma_i> becomes the trapezoid approximation of the L2
         product on that grid.
         """
-        g = _stack(gammas, "gammas")
-        z = _stack(zs, "zs")
+        g = _stack_vectors(gammas, "gammas")
+        z = _stack_vectors(zs, "zs")
         if g.shape != z.shape:
             raise ValueError(f"gammas and zs disagree in shape: {g.shape} vs {z.shape}")
         weights = None

@@ -8,11 +8,25 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from perturbreg import AlphaTooSmall, DiscreteOperator, Stabilizer, c_alpha_estimate, operators
+from perturbreg import (
+    DiscreteOperator,
+    GridFunction,
+    SqrtDelta,
+    Stabilizer,
+    c_alpha_estimate,
+    coordinate_alpha,
+    operators,
+    regularized_derivative,
+    run_experiment,
+    stabilization_gap,
+)
 from perturbreg.cli import (
     DEFAULT_SEED,
     SEED_ENV_VAR,
+    _CsvError,
     _csv_text,
     fmt,
     main,
@@ -24,6 +38,45 @@ def write_csv(path, t, y):
     lines = ["t,y"] + [f"{fmt(ti)},{fmt(yi)}" for ti, yi in zip(t, y)]
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+def csv_by_value(header, columns):
+    """CSV text with every value printed by ``fmt`` on its own."""
+    return ",".join(header) + "\n" + "".join(
+        ",".join(fmt(v) for v in row) + "\n" for row in zip(*columns))
+
+
+def read_csv_by_lines(path):
+    """Reference reader: each data line split and converted with float() in turn."""
+    text = Path(path).read_text()
+    numbered = [(num, line.strip()) for num, line in enumerate(text.splitlines(), start=1)
+                if line.strip()]
+    if len(numbered) < 2:
+        raise _CsvError("need a header line and at least one data row")
+    header = [field.strip() for field in numbered[0][1].split(",")]
+    rows = []
+    for num, line in numbered[1:]:
+        fields = line.split(",")
+        if len(fields) != len(header):
+            raise _CsvError(f"line {num}: expected {len(header)} fields, got {len(fields)}")
+        try:
+            rows.append([float(field) for field in fields])
+        except ValueError as exc:
+            raise _CsvError(f"line {num}: {exc}") from exc
+    data = np.asarray(rows, dtype=float)
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        raise _CsvError(f"line {numbered[1 + int(np.argmin(finite))][0]}: non-finite value")
+    return header, data
+
+
+def csv_outcome(reader, path):
+    """(header, shape, float bytes) of a read, or the error message."""
+    try:
+        header, data = reader(path)
+    except _CsvError as exc:
+        return str(exc)
+    return header, data.shape, data.tobytes()
 
 
 def linear_csv(tmp_path, n=33, slope=0.5, intercept=1.0):
@@ -55,7 +108,7 @@ def run_in_fresh_interpreter(code):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                          capture_output=True, text=True).stdout
+                          capture_output=True, text=True)
 
 
 class TestFloatFormat:
@@ -74,6 +127,99 @@ class TestFloatFormat:
         expected = "a,b,c\n" + "".join(
             ",".join(fmt(v) for v in row) + "\n" for row in zip(*columns))
         assert _csv_text(["a", "b", "c"], columns) == expected
+
+    def test_csv_text_takes_a_formatted_column(self):
+        values = [-0.0, 5e-324, 1e-300, 1e16, 0.1, 3.0]
+        columns = [np.asarray(values), np.asarray(values[::-1])]
+        assert _csv_text(["a", "b"], [list(map(fmt, values)), columns[1]]) == \
+            csv_by_value(["a", "b"], columns)
+
+
+# Fields the one-pass reader and float() may treat differently: underscores,
+# non-ASCII digits and spaces, comment and quote characters, hex, partial
+# exponents, complex literals, U+001F, empty fields and non-finite spellings.
+ODD_FIELDS = ["1_0", "\u0661\u0662", "#", "#1", "1#", "'1'", '"1"', "0x10", "4e", "+.5",
+              "1.5j", "", " ", "nan", "NaN", "-inf", "inf", "infinity", "1e999", "-0",
+              " 2.5 ", "\t3", "\u00a04", "\u30005", "1\x1f", "\x1f1", "5e-324", "1e-400",
+              "1.", ".5", "1 2", "\u0662.5"]
+NUMBER_FORMATS = [repr, "{:.17g}".format, "{:.3e}".format, " {!r} ".format]
+
+
+@st.composite
+def csv_texts(draw):
+    """Headed CSV texts, mostly well formed, with odd fields, ragged rows and blank lines."""
+    width = draw(st.integers(1, 3))
+    header = ",".join(["t", " y ", "z"][:width])
+    odd_share = draw(st.sampled_from([0, 0, 10, 3]))  # one odd field in this many
+
+    def field():
+        if odd_share and draw(st.integers(1, odd_share)) == 1:
+            return draw(st.sampled_from(ODD_FIELDS))
+        value = draw(st.floats(allow_nan=False, allow_infinity=False))
+        return draw(st.sampled_from(NUMBER_FORMATS))(value)
+
+    lines = [header]
+    for _ in range(draw(st.integers(1, 5))):
+        count = width if draw(st.integers(0, 9)) else draw(st.integers(1, 4))
+        pad = draw(st.sampled_from(["", " "]))
+        lines.append(pad + ",".join(field() for _ in range(count)) + pad)
+    out = []
+    for line in lines:
+        out += draw(st.lists(st.sampled_from(["", "   ", " \t "]), max_size=2))
+        out.append(line)
+    sep = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return sep.join(out) + (sep if draw(st.booleans()) else "")
+
+
+class TestCsvReader:
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=csv_texts())
+    def test_matches_line_loop(self, tmp_path, text):
+        path = tmp_path / "in.csv"
+        path.write_text(text)
+        assert csv_outcome(read_csv_columns, path) == csv_outcome(read_csv_by_lines, path)
+
+    @pytest.mark.parametrize("text", [
+        "t,y\n0,1\n",  # one data row
+        "t\n0\n1.5\n-2\n",  # one column
+        "t,y\n 0 , 1 \n\t0.5\t,\t2\t\n",  # values padded with spaces
+        "t,y\r\n0,1\r\n\r\n1,2\r\n",  # CRLF and a blank line
+        "t,y\n0,1_0\n1,2\n",  # float() takes it, numpy does not
+        "t,y\n0,\u0661\n1,2\n",
+        "t,y\n0\x1f,1\n1,2\n",  # numpy takes it, float() does not
+        "t,y\n0,#1\n", "t,y\n0,'1'\n", 't,y\n0,"1"\n', "t,y\n0,0x10\n",
+        "t,y\n0,4e\n", "t,y\n0,+.5\n", "t,y\n0,1.5j\n",
+        "t,y\n0,\n", "t,y\n0,1\n1\n", "t,y\n0,1,2\n1,2,3\n",
+        "t,y\n0,nan\n", "t,y\n0,inf\n", "t,y\n0,infinity\n", "t,y\n0,1e999\n",
+        "t,y\n0,1\n1,nan\n2,x\n",  # a bad value wins over non-finite
+        "t,y\n", "\n\n",
+    ])
+    def test_matches_line_loop_on_named_cases(self, tmp_path, text):
+        path = tmp_path / "in.csv"
+        path.write_text(text)
+        assert csv_outcome(read_csv_columns, path) == csv_outcome(read_csv_by_lines, path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("t,y\n\n0,1\n1,x\n", "line 4: could not convert string to float: 'x'"),
+        ("t,y\n\n0,1\n1,nan\n", "line 4: non-finite value"),
+        ("t,y\n0,1\n  \t \n1,2,3\n", "line 4: expected 2 fields, got 3"),
+        ("t,y\n0,1\n \n1,inf\n", "line 4: non-finite value"),
+        ("t,y\r\n0,1\r\n\r\n1,x\r\n", "line 4: could not convert string to float: 'x'"),
+        ("t,y\r\n0,1\r\n\r\n1,inf\r\n", "line 4: non-finite value"),
+    ])
+    def test_errors_name_the_line_of_the_file(self, tmp_path, capsys, text, message):
+        path = tmp_path / "in.csv"
+        path.write_text(text)
+        assert main(["differentiate", str(path), "--alpha", "0.1"]) == 2
+        assert capsys.readouterr().err == f"error: malformed CSV: {message}\n"
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "in.csv"
+        path.write_text("\n t , y \n\n0,1\n   \n0.5,2\n\n")
+        header, data = read_csv_columns(path)
+        assert header == ["t", "y"]
+        assert data.tolist() == [[0.0, 1.0], [0.5, 2.0]]
 
 
 class TestDifferentiate:
@@ -109,6 +255,17 @@ class TestDifferentiate:
         assert main(["differentiate", str(src), "--delta", "0.01", "--out", str(out1)]) == 0
         assert main(["differentiate", str(src), "--delta", "0.01", "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_large_output_matches_per_value_format(self, tmp_path):
+        t = np.linspace(0.0, 3.0, 50_000)
+        y = np.sin(t) + 0.01 * np.random.default_rng(9).standard_normal(t.size)
+        src = write_csv(tmp_path / "big.csv", t, y)
+        out = tmp_path / "d.csv"
+        assert main(["differentiate", str(src), "--delta", "0.01", "--out", str(out)]) == 0
+        result = regularized_derivative(GridFunction(t[0], t[-1], y),
+                                        coordinate_alpha(0.01, SqrtDelta()))
+        assert out.read_text() == csv_by_value(
+            ["t", "dy", "x_alpha"], [t, result.derivative.values, result.x_alpha.values])
 
     def test_no_stray_temp_files(self, tmp_path):
         out = tmp_path / "out.csv"
@@ -308,6 +465,22 @@ class TestExperiment:
         np.testing.assert_allclose(rows[:, 3], np.abs(rows[:, 1] - rows[:, 2]),
                                    atol=1e-15)
 
+    def test_files_match_per_value_format(self, tmp_path):
+        # the run files and the plot print one shared grid, formatted once
+        outdir = tmp_path / "runs"
+        assert main(["experiment", "--example", "2", "--deltas", "0.01,0.1",
+                     "--seeds", "2", "--seed", "3", "--n", "64", "--out", str(outdir)]) == 0
+        for delta in (0.01, 0.1):
+            for seed in (3, 4):
+                rep = run_experiment(2, delta, seed, n=64)
+                assert (outdir / f"example2_delta{fmt(delta)}_seed{seed}.csv").read_text() == \
+                    csv_by_value(["t", "dy"], [rep.derivative.t, rep.derivative.values])
+        rep = run_experiment(2, 0.1, 3, n=64)
+        computed, exact = rep.derivative.values, rep.exact_derivative.values
+        assert (outdir / "example2_plot.csv").read_text() == csv_by_value(
+            ["t", "exact", "computed", "error"],
+            [rep.derivative.t, exact, computed, np.abs(computed - exact)])
+
     def test_runs_are_bit_identical(self, tmp_path):
         d1, d2 = tmp_path / "one", tmp_path / "two"
         assert self.run_small(d1) == 0
@@ -387,13 +560,14 @@ class TestExperiment:
             f"grid spacing h={fmt(3.0 / 127)}: exp(-h/alpha) is below double precision\n")
         assert not outdir.exists()
 
-    def test_alpha_check_uses_the_example_grid(self, tmp_path):
+    def test_alpha_check_uses_the_example_grid(self, tmp_path, capsys):
         # alpha = 8e-4 at n = 129: exp(-h/alpha) is 2e-13 on example 1's
         # [0, 3] (h = 3/128) and 6e-22 on example 2's [0, 5] (h = 5/128)
         argv = ["--deltas", "6.4e-7", "--seeds", "1", "--n", "129"]
-        with pytest.warns(AlphaTooSmall):
-            assert main(["experiment", "--example", "1", *argv,
-                         "--out", str(tmp_path / "one")]) == 0
+        assert main(["experiment", "--example", "1", *argv,
+                     "--out", str(tmp_path / "one")]) == 0
+        assert capsys.readouterr().err == \
+            "warning: alpha=0.0008 is below the grid spacing h=0.0234375\n"
         assert main(["experiment", "--example", "2", *argv,
                      "--out", str(tmp_path / "two")]) == 4
 
@@ -402,9 +576,21 @@ class TestExperiment:
         h = 3.0 / 127
         argv = ["experiment", "--example", "1", "--seeds", "1", "--n", "128"]
         assert main([*argv, "--deltas", repr((h / 37) ** 2), "--out", str(tmp_path / "a")]) == 4
-        with pytest.warns(AlphaTooSmall):
-            assert main([*argv, "--deltas", repr((h / 36) ** 2),
-                         "--out", str(tmp_path / "b")]) == 0
+        capsys.readouterr()
+        assert main([*argv, "--deltas", repr((h / 36) ** 2),
+                     "--out", str(tmp_path / "b")]) == 0
+        assert capsys.readouterr().err.startswith("warning: alpha=")
+
+    def test_small_alpha_warning_lines(self, tmp_path):
+        # A fresh interpreter, so Python's default warning printer would show
+        # through: each distinct message is one `warning:` line instead.
+        argv = ["experiment", "--example", "2", "--deltas", "0.1,0.01,0.001",
+                "--n", "128", "--seeds", "2", "--out", str(tmp_path / "runs")]
+        proc = run_in_fresh_interpreter(
+            f"import sys; from perturbreg.cli import main; sys.exit(main({argv!r}))")
+        assert proc.stderr == (
+            "warning: alpha=0.0316228 is below the grid spacing h=0.0393701\n")
+        assert proc.stdout == (tmp_path / "runs" / "example2_table.csv").read_text()
 
 
 class TestSweep:
@@ -459,6 +645,23 @@ class TestSweep:
         assert list(rows[:, 2]) == [c_alpha_estimate(op, Stabilizer.scalar_alpha(), a)
                                     for a in (0.3, 0.05)]
 
+    def test_dense_output_matches_per_value_format(self, tmp_path, capsys):
+        rng = np.random.default_rng(22)
+        m = rng.standard_normal((8, 8))
+        x = rng.standard_normal(8)
+        payload = {"matrix": m.tolist(), "rhs": (m @ x).tolist(),
+                   "stabilizer": {"scalar_alpha": {}}, "delta": 0.01, "alpha": 0.1,
+                   "exact_solution": x.tolist()}
+        alphas = [0.3, 0.05, 1e-3]
+        assert main(["sweep", str(write_json(tmp_path, payload)),
+                     "--alphas", ",".join(map(fmt, alphas))]) == 0
+        op, stab = DiscreteOperator.dense(m), Stabilizer.scalar_alpha()
+        c_est = [c_alpha_estimate(op, stab, a) for a in alphas]
+        assert capsys.readouterr().out == csv_by_value(
+            ["alpha", "S", "c_alpha_est", "q_est"],
+            [alphas, [stabilization_gap(op, stab, a, x) for a in alphas], c_est,
+             [0.01 * c for c in c_est]])
+
     def test_volterra_never_builds_the_matrix(self, tmp_path, monkeypatch):
         def refuse(n, h):
             raise AssertionError("the running-integral matrix was built")
@@ -492,14 +695,14 @@ class TestTopLevel:
         # Problem files are validated without jsonschema; importing it would
         # add its start-up time to every command.
         code = "import sys, perturbreg.cli; print('jsonschema' in sys.modules)"
-        assert run_in_fresh_interpreter(code) == "False\n"
+        assert run_in_fresh_interpreter(code).stdout == "False\n"
 
     def test_cli_import_leaves_scipy_out(self):
         # The running integral and its shifted inverse are numpy only; scipy
         # is a test-time reference and would add its start-up time.
         code = ("import sys, perturbreg.cli; "
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-        assert run_in_fresh_interpreter(code) == "[]\n"
+        assert run_in_fresh_interpreter(code).stdout == "[]\n"
 
     def test_seed_env_ignored_outside_experiment(self, tmp_path, monkeypatch):
         monkeypatch.setenv(SEED_ENV_VAR, "abc")

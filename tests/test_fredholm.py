@@ -7,6 +7,7 @@ from perturbreg import (
     BiorthogonalityFailed,
     DegenerateGram,
     DiscreteOperator,
+    GridFunction,
     SingularSystem,
     build_stabilizer,
     nullspace_basis,
@@ -88,6 +89,20 @@ class TestBuildStabilizer:
     def test_dependent_psis_rejected(self):
         with pytest.raises(BiorthogonalityFailed):
             build_stabilizer([e(0, 3), e(1, 3)], [e(0, 3), e(0, 3)])
+
+    @pytest.mark.parametrize("name", ["phis", "psis", "gammas", "zs"])
+    def test_non_finite_vectors_rejected(self, name):
+        vectors = {"phis": [e(0, 3)], "psis": [e(0, 3)], "gammas": [e(0, 3)], "zs": [e(0, 3)]}
+        vectors[name] = [np.array([1.0, np.nan, 0.0])]
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            build_stabilizer(**vectors)
+
+    def test_grid_functions_and_column_vectors_accepted(self):
+        basis = build_stabilizer([e(0, 3)], [e(2, 3)], gammas=[e(0, 3) + e(1, 3)])
+        as_grid = build_stabilizer([GridFunction(0.0, 1.0, e(0, 3))], [e(2, 3).reshape(3, 1)],
+                                   gammas=[GridFunction(0.0, 1.0, e(0, 3) + e(1, 3))])
+        for field in ("phis", "psis", "gammas", "zs"):
+            np.testing.assert_array_equal(getattr(as_grid, field), getattr(basis, field))
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):

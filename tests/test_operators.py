@@ -238,6 +238,18 @@ class TestFiniteDimStabilizer:
         with pytest.raises(ValueError):
             Stabilizer.finite_dim([np.ones(3)], [np.ones(3), np.ones(3)])
 
+    def test_non_finite_vectors_rejected(self):
+        bad = np.array([1.0, np.inf, 0.0])
+        with pytest.raises(ValueError, match="^gammas must be finite$"):
+            Stabilizer.finite_dim([bad], [np.ones(3)])
+        with pytest.raises(ValueError, match="^zs must be finite$"):
+            Stabilizer.finite_dim([np.ones(3)], [bad])
+
+    def test_column_vectors_are_raveled(self):
+        gamma, z = np.array([1.0, 2.0, 0.0]), np.array([0.0, 1.0, 0.0])
+        s = Stabilizer.finite_dim([gamma.reshape(3, 1)], [z.reshape(3, 1)])
+        np.testing.assert_array_equal(s.materialize(1.0, 3), np.outer(z, gamma))
+
     def test_norm_estimate_matches_svd(self):
         rng = np.random.default_rng(13)
         gammas = [rng.standard_normal(5) for _ in range(2)]
