@@ -12,13 +12,13 @@ the exact binary values.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
 import sys
 import tempfile
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -30,18 +30,19 @@ from .errors import (
     ProblemFormatError,
     SingularSystem,
 )
-from .experiments import example_interval, run_experiment
+from .experiments import convergence_study, example_interval
 from .fredholm import solve_fredholm_regularized
 from .grid import GridFunction
 from .operators import Stabilizer
 from .problems import Problem, load_problem, parse_rule
 from .solve import (
     RegConfig,
+    SolveReport,
     SqrtDelta,
     c_alpha_estimate,
     coordinate_alpha,
     solve_perturbed,
-    stabilization_gap,
+    stabilization_sweep,
 )
 
 EXIT_OK = 0
@@ -86,7 +87,8 @@ def _emit(text: str, out: str | None) -> None:
 def _csv_text(header: list[str], columns: list) -> str:
     # repr of a Python float is what ``fmt`` prints; tolist() makes the
     # floats in one C loop instead of one numpy scalar per value. A column
-    # that is a list holds such strings already, printed once for many files.
+    # that is a list holds its strings already: a grid printed once for many
+    # files, or integers.
     cells = [col if isinstance(col, list) else map(repr, np.asarray(col, dtype=float).tolist())
              for col in columns]
     return "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n"
@@ -100,39 +102,41 @@ def read_csv_columns(path) -> tuple[list[str], np.ndarray]:
     """Read a headed numeric CSV as (header, rows); raises _CsvError on junk.
 
     Blank lines are skipped; error messages number the lines of the file,
-    blank ones included.
+    blank ones included. Lines end at newlines only: read_text has made
+    \\r and \\r\\n into \\n, and the other breaks str.splitlines knows (form
+    feed, U+2028, ...) stay inside a field, where float() strips them.
     """
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise _CsvError(f"cannot read {path}: {exc}") from exc
-    lines = list(filter(None, map(str.strip, text.splitlines())))
-    if len(lines) < 2:
+    lines = list(map(str.strip, text.split("\n")))
+    filled = list(filter(None, lines))
+    if len(filled) < 2:
         raise _CsvError("need a header line and at least one data row")
-    header = [field.strip() for field in lines[0].split(",")]
+    header = [field.strip() for field in filled[0].split(",")]
     # One numpy pass for well-formed input. loadtxt converts each field with
     # the interpreter's own PyOS_string_to_double, so the values it accepts
     # are the ones float() gives. What it rejects (also '1_0' or non-ASCII
-    # digits, which float() takes) goes through the line loop. The one
-    # character loadtxt takes and float() does not is U+001F, which loadtxt
-    # strips around a field as whitespace.
+    # digits, which float() takes) goes through the line loop. The
+    # characters loadtxt takes and float() does not are U+001C-U+001F, which
+    # loadtxt strips around a field as whitespace.
     data = None
-    if "\x1f" not in text:
+    if not any(char in text for char in "\x1c\x1d\x1e\x1f"):
         try:
-            data = np.loadtxt(lines[1:], delimiter=",", comments=None, dtype=float, ndmin=2)
+            data = np.loadtxt(filled[1:], delimiter=",", comments=None, dtype=float, ndmin=2)
         except ValueError:
             pass
     if data is None or data.shape[1] != len(header) or not np.isfinite(data).all():
-        data = _parse_rows(text, len(header))
+        data = _parse_rows(lines, len(header))
     return header, data
 
 
-def _parse_rows(text: str, width: int) -> np.ndarray:
-    """The data rows of ``text`` converted line by line with float()."""
-    numbered = [(num, line) for num, line in
-                enumerate(map(str.strip, text.splitlines()), start=1) if line]
+def _parse_rows(lines: list[str], width: int) -> np.ndarray:
+    """The data rows of the stripped file ``lines`` converted one by one with float()."""
+    numbered = [(num, line) for num, line in enumerate(lines, start=1) if line][1:]
     rows = []
-    for num, line in numbered[1:]:
+    for num, line in numbered:
         fields = line.split(",")
         if len(fields) != width:
             raise _CsvError(f"line {num}: expected {width} fields, got {len(fields)}")
@@ -143,7 +147,7 @@ def _parse_rows(text: str, width: int) -> np.ndarray:
     data = np.asarray(rows, dtype=float)
     finite = np.isfinite(data).all(axis=1)
     if not finite.all():
-        raise _CsvError(f"line {numbered[1 + int(np.argmin(finite))][0]}: non-finite value")
+        raise _CsvError(f"line {numbered[int(np.argmin(finite))][0]}: non-finite value")
     return data
 
 
@@ -170,7 +174,7 @@ def _cmd_differentiate(args) -> int:
 
     try:
         if args.alpha is not None:
-            if args.alpha <= 0.0:
+            if not args.alpha > 0.0:
                 return _fail(f"--alpha must be positive, got {args.alpha}", EXIT_USAGE)
             alpha = args.alpha
         else:
@@ -178,6 +182,8 @@ def _cmd_differentiate(args) -> int:
     except PerturbregError as exc:
         return _fail(str(exc), EXIT_USAGE)
 
+    if args.window is not None and not args.window > 0.0:
+        return _fail(f"--window must be positive, got {args.window}", EXIT_USAGE)
     baseline = None
     if args.baseline != "auto":
         try:
@@ -218,31 +224,26 @@ def _solve_problem(problem: Problem):
                                  A_exact=problem.exact_operator)
         return alpha, report
     report = solve_fredholm_regularized(problem.operator, problem.basis, problem.rhs,
-                                        delta=problem.delta, q_max=problem.q_max)
-    if problem.exact_solution is not None:
-        observed = float(np.max(np.abs(report.solution - problem.exact_solution)))
-        report = replace(report, observed_error=observed)
+                                        delta=problem.delta, q_max=problem.q_max,
+                                        x_star=problem.exact_solution)
     return None, report
 
 
-def _report_payload(alpha, delta: float, report) -> dict:
-    return {
-        "alpha": None if alpha is None else float(alpha),
-        "delta": float(delta),
-        "solution": [float(v) for v in report.solution],
-        "residual_norm": float(report.residual_norm),
-        "c_alpha_est": float(report.c_alpha_est),
-        "q_est": float(report.q_est),
-        "q_exceeded": bool(report.q_exceeded),
-        "gap": None if report.gap is None else float(report.gap),
-        "bound": None if report.bound is None else float(report.bound),
-        "bound_components": None if report.bound_components is None
-        else [float(v) for v in report.bound_components],
-        "observed_error": None if report.observed_error is None
-        else float(report.observed_error),
-        "selection": None if report.selection is None
-        else [float(v) for v in report.selection],
-    }
+def _json_value(value):
+    """A report field as JSON: null, a bool, a float or a list of floats."""
+    if value is None:
+        return None
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if np.ndim(value):
+        return [float(v) for v in value]
+    return float(value)
+
+
+def _report_payload(alpha, delta: float, report: SolveReport) -> dict:
+    payload = {"alpha": alpha, "delta": delta}
+    payload.update((f.name, getattr(report, f.name)) for f in dataclasses.fields(SolveReport))
+    return {key: _json_value(value) for key, value in payload.items()}
 
 
 def _cmd_solve(args) -> int:
@@ -304,46 +305,31 @@ def _cmd_experiment(args) -> int:
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    seeds = [seed + i for i in range(args.seeds)]
-
-    table_rows = []
-    plot_report = None
-    grid = None
-    caught = []
-    for delta in deltas:
-        with warnings.catch_warnings(record=True) as batch:
-            warnings.simplefilter("always")
-            reports = [run_experiment(args.example, delta, seed, n=args.n) for seed in seeds]
-        caught += batch
-        if grid is None:
-            # every run and the plot share the example's grid: print it once
-            grid = list(map(repr, reports[0].derivative.t.tolist()))
-        for rep in reports:
-            name = f"example{args.example}_delta{fmt(delta)}_seed{rep.seed}.csv"
-            _atomic_write(outdir / name, _csv_text(["t", "dy"], [grid, rep.derivative.values]))
-        table_rows.append((
-            delta,
-            reports[0].alpha,
-            len(seeds),
-            float(np.median([r.max_error_full for r in reports])),
-            float(np.median([r.max_error_interior for r in reports])),
-        ))
-        if plot_report is None or delta > plot_report.delta:
-            plot_report = reports[0]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rows = convergence_study(args.example, deltas, [seed + i for i in range(args.seeds)],
+                                 n=args.n)
     # AlphaTooSmall comes once per run; say each distinct message once.
     for message in dict.fromkeys(str(w.message) for w in caught):
         print(f"warning: {message}", file=sys.stderr)
 
+    # every run and the plot share the example's grid: print it once
+    grid = list(map(repr, rows[0].reports[0].derivative.t.tolist()))
+    for row in rows:
+        for rep in row.reports:
+            name = f"example{args.example}_delta{fmt(row.delta)}_seed{rep.seed}.csv"
+            _atomic_write(outdir / name, _csv_text(["t", "dy"], [grid, rep.derivative.values]))
+
     header = ["delta", "alpha", "seed_count",
               "median_max_error_full", "median_max_error_interior"]
-    lines = [",".join(header)]
-    for delta, alpha, count, med_full, med_interior in table_rows:
-        lines.append(",".join([fmt(delta), fmt(alpha), str(count),
-                               fmt(med_full), fmt(med_interior)]))
-    table_text = "\n".join(lines) + "\n"
+    columns = [np.array([getattr(row, name) for row in rows]) for name in header]
+    columns[2] = list(map(str, columns[2].tolist()))  # seed counts print as integers
+    table_text = _csv_text(header, columns)
     _atomic_write(outdir / f"example{args.example}_table.csv", table_text)
     sys.stdout.write(table_text)
 
+    # the first run of the first noisiest delta
+    plot_report = max(rows, key=lambda row: row.delta).reports[0]
     err = np.abs(plot_report.derivative.values - plot_report.exact_derivative.values)
     _atomic_write(outdir / f"example{args.example}_plot.csv",
                   _csv_text(["t", "exact", "computed", "error"],
@@ -373,20 +359,14 @@ def _cmd_sweep(args) -> int:
     op = problem.exact_operator if problem.exact_operator is not None else problem.operator
     stab = Stabilizer.scalar_alpha() if problem.basis is None else problem.basis.stabilizer
 
-    rows = [[], [], [], []]
-    for alpha in alphas:
-        try:
-            gap = stabilization_gap(op, stab, alpha, problem.exact_solution)
-        except SingularSystem as exc:
-            return _fail(str(exc), EXIT_SINGULAR)
-        c_est = c_alpha_estimate(op, stab, alpha)
-        rows[0].append(alpha)
-        rows[1].append(gap)
-        rows[2].append(c_est)
-        rows[3].append(problem.delta * c_est)
-
+    try:
+        gaps = [gap for _, gap in stabilization_sweep(op, stab, alphas, problem.exact_solution)]
+    except SingularSystem as exc:
+        return _fail(str(exc), EXIT_SINGULAR)
+    c_est = [c_alpha_estimate(op, stab, alpha) for alpha in alphas]
     _emit(_csv_text(["alpha", "S", "c_alpha_est", "q_est"],
-                    [np.asarray(r) for r in rows]), args.out)
+                    [np.asarray(alphas), np.asarray(gaps), np.asarray(c_est),
+                     np.asarray([problem.delta * c for c in c_est])]), args.out)
     return EXIT_OK
 
 

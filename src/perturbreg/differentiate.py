@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlphaTooSmall, WindowTooNarrow
+from .errors import AlphaTooSmall, SampleOverflow, WindowTooNarrow
 from .grid import GridFunction
 from .operators import first_order_scan, running_trapezoid
 
@@ -57,6 +57,12 @@ class DerivativeResult:
     boundary_layer_width: float
 
 
+def _finite(values: np.ndarray, what: str) -> np.ndarray:
+    if not np.isfinite(values).all():
+        raise SampleOverflow(f"{what} left the float64 range")
+    return values
+
+
 def volterra_apply(x: GridFunction) -> GridFunction:
     """Running trapezoid integral of the samples; the first output is 0."""
     return x.with_values(running_trapezoid(x.values, x.h))
@@ -81,6 +87,11 @@ def resolvent_apply(g: GridFunction, alpha: float) -> GridFunction:
     AlphaTooSmall
         When alpha < h the smoothing kernel decays inside a single panel and
         the quadrature no longer resolves it. The result is still returned.
+
+    Raises
+    ------
+    SampleOverflow
+        When finite samples produce a result outside the float64 range.
     """
     if alpha <= 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
@@ -92,11 +103,15 @@ def resolvent_apply(g: GridFunction, alpha: float) -> GridFunction:
         )
     vals = g.values
     r = math.exp(-h / alpha)
-    panels = np.empty_like(vals)
-    panels[0] = 0.0
-    panels[1:] = 0.5 * h * (vals[1:] + r * vals[:-1])
-    conv = first_order_scan(panels, r)
-    return g.with_values(vals / alpha - conv / alpha**2)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        panels = np.empty_like(vals)
+        panels[0] = 0.0
+        panels[1:] = 0.5 * h * (vals[1:] + r * vals[:-1])
+        conv = first_order_scan(panels, r)
+        # numpy's scalar power is the libm pow behind alpha**2 too, but gives
+        # inf where the Python float raises OverflowError (alpha > ~1e154)
+        out = vals / alpha - conv / np.float64(alpha) ** 2
+    return g.with_values(_finite(out, "the resolvent output"))
 
 
 def resolvent_norm_bound(alpha: float, a: float, b: float) -> float:
@@ -160,15 +175,23 @@ def regularized_derivative(y_tilde: GridFunction, alpha: float,
     window : float, optional
         Fit window width for the automatic baseline; ignored when an
         explicit baseline is passed.
+
+    Raises
+    ------
+    SampleOverflow
+        When the detrended samples, the resolvent output or the derivative
+        leave the float64 range (finite samples near +-1.8e308 can).
     """
     if alpha <= 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     if baseline is None:
         width = window if window is not None else max(2.0 * y_tilde.h, alpha)
         baseline = estimate_baseline(y_tilde, width)
-    detrended = y_tilde.values - baseline.c - baseline.d * (y_tilde.t - y_tilde.a)
-    x_alpha = resolvent_apply(y_tilde.with_values(detrended), alpha)
-    derivative = x_alpha.with_values(x_alpha.values + baseline.d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        detrended = _finite(y_tilde.values - baseline.c - baseline.d * (y_tilde.t - y_tilde.a),
+                            "the detrended samples")
+        x_alpha = resolvent_apply(y_tilde.with_values(detrended), alpha)
+        derivative = x_alpha.with_values(_finite(x_alpha.values + baseline.d, "the derivative"))
     return DerivativeResult(
         x_alpha=x_alpha,
         derivative=derivative,

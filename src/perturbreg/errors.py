@@ -33,6 +33,10 @@ class UnknownExample(PerturbregError):
     """Requested benchmark function id does not exist."""
 
 
+class SampleOverflow(PerturbregError):
+    """Finite samples left the float64 range on the way through differentiation."""
+
+
 class ProblemFormatError(PerturbregError):
     """A structured problem file failed schema or consistency validation."""
 

@@ -9,7 +9,7 @@ because the boundary bias and the noise response scale differently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -179,13 +179,18 @@ def run_experiment(example_id: int, delta: float, seed: int, n: int = 512,
 
 @dataclass(frozen=True)
 class StudyRow:
-    """Median errors across seeds at one noise level."""
+    """Median errors across seeds at one noise level, and the runs behind them.
+
+    ``reports`` holds one ExperimentReport per seed, in the order of the
+    seeds; it takes no part in comparisons.
+    """
 
     delta: float
     alpha: float
     seed_count: int
     median_max_error_full: float
     median_max_error_interior: float
+    reports: tuple[ExperimentReport, ...] = field(compare=False, repr=False)
 
 
 def convergence_study(example_id: int, deltas: Sequence[float], seeds: Sequence[int],
@@ -193,7 +198,9 @@ def convergence_study(example_id: int, deltas: Sequence[float], seeds: Sequence[
     """Median differentiation errors per noise level, over a set of seeds.
 
     Medians rather than means: single realizations can park an outlier far
-    from the trend, and the point of the study is the trend in delta.
+    from the trend, and the point of the study is the trend in delta. Each
+    row keeps its runs' reports, so a caller that writes the runs out does
+    not run them again.
 
     Raises ValueError when deltas or seeds are empty.
     """
@@ -212,5 +219,6 @@ def convergence_study(example_id: int, deltas: Sequence[float], seeds: Sequence[
             seed_count=len(seeds),
             median_max_error_full=float(np.median([r.max_error_full for r in reports])),
             median_max_error_interior=float(np.median([r.max_error_interior for r in reports])),
+            reports=tuple(reports),
         ))
     return rows

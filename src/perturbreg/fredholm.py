@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import BiorthogonalityFailed, DegenerateGram, SingularSystem
 from .operators import DiscreteOperator, Stabilizer, _stack_vectors
-from .solve import SolveReport, _solve_linear, invertibility_margin
+from .solve import SolveReport, _c_alpha_estimate, _report, _solve_stabilized
 
 _BIORTHO_TOL = 1e-10
 _DET_TOL = 1e-12
@@ -137,7 +137,8 @@ def project_rhs(f, basis: FredholmBasis) -> np.ndarray:
 
 
 def solve_fredholm_regularized(A_tilde: DiscreteOperator, basis: FredholmBasis, f_tilde,
-                               delta: float = 0.0, q_max: float = 0.5) -> SolveReport:
+                               delta: float = 0.0, q_max: float = 0.5,
+                               x_star=None) -> SolveReport:
     """Solve (A_tilde + B) x = projected f_tilde with the finite-rank B.
 
     The report's ``selection`` entries are the pairings <x, gamma_i>; for
@@ -145,27 +146,18 @@ def solve_fredholm_regularized(A_tilde: DiscreteOperator, basis: FredholmBasis, 
     they act as a per-direction consistency diagnostic.
 
     ``delta`` is only used for the margin q_est = delta * c_alpha_est; the
-    stabilizer itself does not depend on it.
+    stabilizer itself does not depend on it. With ``x_star`` the report
+    carries the observed error.
 
     Raises
     ------
     SingularSystem
         If the stabilized matrix still cannot be factorized.
     """
-    f = np.asarray(f_tilde, dtype=float)
     stab = basis.stabilizer
-    assembled = A_tilde.as_matrix() + stab.materialize(1.0, f.size)
-    rhs = project_rhs(f, basis)
-    x = _solve_linear(assembled, rhs)
+    rhs = project_rhs(f_tilde, basis)
+    x, assembled = _solve_stabilized(A_tilde, stab, 1.0, rhs)
     residual = float(np.max(np.abs(assembled @ x - rhs)))
-    sigma_min = float(np.linalg.svd(assembled, compute_uv=False)[-1])
-    c_est = float("inf") if sigma_min == 0.0 else 1.0 / sigma_min
-    q_est = invertibility_margin(delta, c_est)
-    return SolveReport(
-        solution=x,
-        residual_norm=residual,
-        c_alpha_est=c_est,
-        q_est=q_est,
-        q_exceeded=q_est >= q_max,
-        selection=basis.gammas @ x,
-    )
+    c_est = _c_alpha_estimate(A_tilde, stab, 1.0, assembled)
+    return _report(x, residual, c_est, delta, q_max, x_star=x_star,
+                   selection=basis.gammas @ x)

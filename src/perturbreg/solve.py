@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -39,18 +39,7 @@ class PowerDelta:
             raise ValueError(f"exponent must lie in (0, 1), got {self.p}")
 
 
-@dataclass(frozen=True)
-class Fixed:
-    """Degenerate rule returning a preset alpha regardless of delta."""
-
-    alpha0: float
-
-    def __post_init__(self):
-        if self.alpha0 <= 0.0:
-            raise ValueError(f"alpha0 must be positive, got {self.alpha0}")
-
-
-CoordinationRule = Union[SqrtDelta, PowerDelta, Fixed]
+CoordinationRule = Union[SqrtDelta, PowerDelta]
 
 
 def coordinate_alpha(delta: float, rule: CoordinationRule) -> float:
@@ -65,9 +54,8 @@ def coordinate_alpha(delta: float, rule: CoordinationRule) -> float:
     ----------
     delta : float
         Noise level, > 0.
-    rule : SqrtDelta | PowerDelta | Fixed
-        SqrtDelta gives sqrt(delta); PowerDelta(p) gives delta**p;
-        Fixed(alpha0) ignores delta.
+    rule : SqrtDelta | PowerDelta
+        SqrtDelta gives sqrt(delta); PowerDelta(p) gives delta**p.
 
     Raises
     ------
@@ -80,8 +68,6 @@ def coordinate_alpha(delta: float, rule: CoordinationRule) -> float:
         return math.sqrt(delta)
     if isinstance(rule, PowerDelta):
         return delta**rule.p
-    if isinstance(rule, Fixed):
-        return rule.alpha0
     raise TypeError(f"unknown coordination rule: {rule!r}")
 
 
@@ -174,6 +160,37 @@ def _as_vector(x) -> np.ndarray:
     return np.asarray(x, dtype=float)
 
 
+def _report(x: np.ndarray, residual: float, c_est: float, delta: float, q_max: float,
+            x_star=None, gap: float | None = None, selection=None) -> SolveReport:
+    """The report of a stabilized solve; both solvers build theirs here.
+
+    Owns the margin q = delta * c and its flag q >= q_max. With ``x_star``
+    the report carries the observed error; with the stabilization ``gap`` as
+    well, and q < 1, it also carries the error bound and its components.
+    """
+    q_est = invertibility_margin(delta, c_est)
+    bound = components = observed = None
+    if x_star is not None:
+        xs = _as_vector(x_star)
+        observed = float(np.max(np.abs(x - xs)))
+        if gap is not None and q_est < 1.0:
+            x_norm = float(np.max(np.abs(xs)))
+            bound = error_bound(gap, delta, c_est, q_est, x_norm)
+            components = (gap, delta * c_est / (1.0 - q_est), x_norm)
+    return SolveReport(
+        solution=x,
+        residual_norm=residual,
+        c_alpha_est=c_est,
+        q_est=q_est,
+        q_exceeded=q_est >= q_max,
+        gap=gap,
+        bound=bound,
+        bound_components=components,
+        observed_error=observed,
+        selection=selection,
+    )
+
+
 def _solve_linear(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     try:
         x = np.linalg.solve(matrix, rhs)
@@ -226,7 +243,7 @@ def c_alpha_estimate(A: DiscreteOperator, B: Stabilizer, alpha: float,
 
 
 # The benchmark's tracer (perfbench/tracing.py) times this routine under its
-# earlier private name, so solve_perturbed calls it through that name.
+# earlier private name, so both solvers call it through that name.
 _c_alpha_estimate = c_alpha_estimate
 
 
@@ -260,33 +277,6 @@ def stabilization_sweep(A: DiscreteOperator, B: Stabilizer, alphas: Sequence[flo
     if any(a <= 0.0 for a in alphas):
         raise ValueError("sweep alphas must be positive")
     return [(a, stabilization_gap(A, B, a, x_star)) for a in alphas]
-
-
-class ChainStep(NamedTuple):
-    x: np.ndarray
-    residual_norm: float
-
-
-def chain_solve(A: DiscreteOperator, B: Stabilizer, x0, n: int) -> list[ChainStep]:
-    """Least-squares chain A x_i = B x_{i-1} for i = 1..n-1.
-
-    The stabilizer is taken at alpha = 1, i.e. as the fixed operator B. Each
-    step reports its residual sup-norm: a large residual means B x_{i-1} left
-    the range of A, so the chain (and the expansion it supports) stops being
-    meaningful at that depth. For n = 1 the chain is empty.
-    """
-    if n < 1:
-        raise ValueError(f"chain length must be >= 1, got {n}")
-    x_prev = _as_vector(x0)
-    a_mat = A.as_matrix()
-    steps: list[ChainStep] = []
-    for _ in range(1, n):
-        rhs = B.apply(1.0, x_prev)
-        sol, *_ = np.linalg.lstsq(a_mat, rhs, rcond=None)
-        residual = float(np.max(np.abs(a_mat @ sol - rhs)))
-        steps.append(ChainStep(sol, residual))
-        x_prev = sol
-    return steps
 
 
 def solve_perturbed(A_tilde: DiscreteOperator, B: Stabilizer, alpha: float, f_tilde,
@@ -332,27 +322,7 @@ def solve_perturbed(A_tilde: DiscreteOperator, B: Stabilizer, alpha: float, f_ti
     lhs = A_tilde.apply(x) + B.apply(alpha, x) if assembled is None else assembled @ x
     residual = float(np.max(np.abs(lhs - f)))
     c_est = _c_alpha_estimate(A_tilde, B, alpha, assembled)
-    q_est = invertibility_margin(config.delta, c_est)
-
-    gap = bound = components = observed = None
-    if x_star is not None:
-        xs = _as_vector(x_star)
-        observed = float(np.max(np.abs(x - xs)))
-        if A_exact is not None:
-            gap = stabilization_gap(A_exact, B, alpha, xs)
-            if q_est < 1.0:
-                x_norm = float(np.max(np.abs(xs)))
-                bound = error_bound(gap, config.delta, c_est, q_est, x_norm)
-                components = (gap, config.delta * c_est / (1.0 - q_est), x_norm)
-
-    return SolveReport(
-        solution=x,
-        residual_norm=residual,
-        c_alpha_est=c_est,
-        q_est=q_est,
-        q_exceeded=q_est >= config.q_max,
-        gap=gap,
-        bound=bound,
-        bound_components=components,
-        observed_error=observed,
-    )
+    gap = None
+    if x_star is not None and A_exact is not None:
+        gap = stabilization_gap(A_exact, B, alpha, x_star)
+    return _report(x, residual, c_est, config.delta, config.q_max, x_star=x_star, gap=gap)

@@ -8,16 +8,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from perturbreg import (
     DiscreteOperator,
     GridFunction,
-    SqrtDelta,
     Stabilizer,
-    c_alpha_estimate,
-    coordinate_alpha,
     operators,
     regularized_derivative,
     run_experiment,
@@ -32,6 +29,7 @@ from perturbreg.cli import (
     main,
     read_csv_columns,
 )
+from perturbreg.solve import SqrtDelta, c_alpha_estimate, coordinate_alpha
 
 
 def write_csv(path, t, y):
@@ -47,9 +45,12 @@ def csv_by_value(header, columns):
 
 
 def read_csv_by_lines(path):
-    """Reference reader: each data line split and converted with float() in turn."""
+    """Reference reader: each data line split and converted with float() in turn.
+
+    Lines end at newlines only (read_text turns \\r and \\r\\n into \\n).
+    """
     text = Path(path).read_text()
-    numbered = [(num, line.strip()) for num, line in enumerate(text.splitlines(), start=1)
+    numbered = [(num, line.strip()) for num, line in enumerate(text.split("\n"), start=1)
                 if line.strip()]
     if len(numbered) < 2:
         raise _CsvError("need a header line and at least one data row")
@@ -137,11 +138,13 @@ class TestFloatFormat:
 
 # Fields the one-pass reader and float() may treat differently: underscores,
 # non-ASCII digits and spaces, comment and quote characters, hex, partial
-# exponents, complex literals, U+001F, empty fields and non-finite spellings.
+# exponents, complex literals, U+001C-U+001F, the line breaks of str.splitlines
+# other than \n and \r, empty fields and non-finite spellings.
 ODD_FIELDS = ["1_0", "\u0661\u0662", "#", "#1", "1#", "'1'", '"1"', "0x10", "4e", "+.5",
               "1.5j", "", " ", "nan", "NaN", "-inf", "inf", "infinity", "1e999", "-0",
               " 2.5 ", "\t3", "\u00a04", "\u30005", "1\x1f", "\x1f1", "5e-324", "1e-400",
-              "1.", ".5", "1 2", "\u0662.5"]
+              "1.", ".5", "1 2", "\u0662.5", "\x1c1", "1\x1d", "\x1e1", "\x0c2", "2\x0b",
+              "\x852", "\u20282", "2\u2029"]
 NUMBER_FORMATS = [repr, "{:.17g}".format, "{:.3e}".format, " {!r} ".format]
 
 
@@ -194,6 +197,10 @@ class TestCsvReader:
         "t,y\n0,nan\n", "t,y\n0,inf\n", "t,y\n0,infinity\n", "t,y\n0,1e999\n",
         "t,y\n0,1\n1,nan\n2,x\n",  # a bad value wins over non-finite
         "t,y\n", "\n\n",
+        # str.splitlines breaks at these; float() strips them around a field
+        "t,y\n0,1\n0.5,\x0c2\n1,3\n", "t,y\n0,1\n0.5,\x0b2\n1,3\n",
+        "t,y\n0,1\n0.5,\x852\n1,3\n", "t,y\n0,1\n0.5,\u20282\n1,3\n",
+        "t,y\n0,1\n0.5,\x1c2\n1,3\n",  # numpy strips it, float() does not
     ])
     def test_matches_line_loop_on_named_cases(self, tmp_path, text):
         path = tmp_path / "in.csv"
@@ -207,6 +214,7 @@ class TestCsvReader:
         ("t,y\n0,1\n \n1,inf\n", "line 4: non-finite value"),
         ("t,y\r\n0,1\r\n\r\n1,x\r\n", "line 4: could not convert string to float: 'x'"),
         ("t,y\r\n0,1\r\n\r\n1,inf\r\n", "line 4: non-finite value"),
+        ("t,y\n0,\x0c1\n\u2028\n1,x\n", "line 4: could not convert string to float: 'x'"),
     ])
     def test_errors_name_the_line_of_the_file(self, tmp_path, capsys, text, message):
         path = tmp_path / "in.csv"
@@ -318,6 +326,29 @@ class TestDifferentiate:
         assert main(["differentiate", str(bad), "--alpha", "0.1"]) == 2
         assert capsys.readouterr().err == "error: malformed CSV: line 3: non-finite value\n"
 
+    def test_form_feed_inside_a_field_is_read(self, tmp_path, capsys):
+        src = tmp_path / "ff.csv"
+        src.write_text("t,y\n0,1\n0.5,\x0c2\n1,3\n")
+        assert main(["differentiate", str(src), "--alpha", "0.1"]) == 0
+        assert capsys.readouterr().out.startswith("t,dy,x_alpha\n0.0,")
+
+    def test_samples_near_the_float64_limit_exit_2(self, tmp_path, capsys):
+        # finite samples whose detrend overflows
+        src = tmp_path / "big.csv"
+        src.write_text("t,y\n0,1e308\n0.5,-1.7e308\n1,1.7e308\n1.5,-1.7e308\n")
+        assert main(["differentiate", str(src), "--alpha", "0.1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: the detrended samples left the float64 range\n"
+
+    @pytest.mark.parametrize("flags", [["--alpha", "nan"],
+                                       ["--alpha", "0.1", "--window", "0"],
+                                       ["--alpha", "0.1", "--window", "-0.5"]])
+    def test_nonpositive_alpha_or_window_exits_2(self, tmp_path, capsys, flags):
+        assert main(["differentiate", str(linear_csv(tmp_path)), *flags]) == 2
+        flag, value = flags[-2:]
+        assert capsys.readouterr().err == f"error: {flag} must be positive, got {float(value)}\n"
+
     def test_nonpositive_alpha_rejected(self, tmp_path):
         assert main(["differentiate", str(linear_csv(tmp_path)), "--alpha", "-1"]) == 2
 
@@ -381,6 +412,26 @@ class TestSolve:
         assert report["alpha"] is None
         np.testing.assert_allclose(report["solution"], [0.0, 1.0, 0.5], atol=1e-12)
         np.testing.assert_allclose(report["selection"], [0.0], atol=1e-10)
+
+    def test_finite_dim_problem_reports_observed_error(self, tmp_path, capsys):
+        payload = {
+            "matrix": [[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 2.0]],
+            "rhs": [0.0, 1.0, 1.0],
+            "stabilizer": {"finite_dim": {"phis": [[1.0, 0.0, 0.0]],
+                                          "psis": [[1.0, 0.0, 0.0]]}},
+            "delta": 0.0,
+            "exact_solution": [0.0, 1.0, 0.25],
+        }
+        assert main(["solve", str(write_json(tmp_path, payload))]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["observed_error"] == pytest.approx(0.25, abs=1e-12)
+        assert report["gap"] is None and report["bound"] is None
+
+    def test_report_keys_follow_the_solve_report(self, tmp_path, capsys):
+        assert main(["solve", str(write_json(tmp_path, self.scalar_payload()))]) == 0
+        assert list(json.loads(capsys.readouterr().out)) == [
+            "alpha", "delta", "solution", "residual_norm", "c_alpha_est", "q_est",
+            "q_exceeded", "gap", "bound", "bound_components", "observed_error", "selection"]
 
     def test_output_file(self, tmp_path):
         path = write_json(tmp_path, self.scalar_payload())
@@ -682,6 +733,130 @@ class TestSweep:
         assert main(["sweep", str(path), "--alphas", "0.1,-0.2"]) == 2
         assert main(["sweep", str(path), "--alphas", ""]) == 2
         assert main(["sweep", str(path), "--alphas", "0.1,zebra"]) == 2
+
+
+EXIT_CODES = {0, 2, 3, 4, 5}
+ODD_NUMBERS = [0.0, -1.0, 1e-300, 1e300, 1.7e308, float("nan"), float("inf"), 0.1]
+OVERFLOW_CSV = "t,y\n0,1e308\n0.5,-1.7e308\n1,1.7e308\n1.5,-1.7e308\n"
+FORM_FEED_CSV = "t,y\n0,1\n0.5,\x0c2\n1,3\n"
+
+
+def cli_numbers():
+    return st.one_of(st.floats(1e-3, 10.0), st.sampled_from(ODD_NUMBERS), st.floats())
+
+
+@st.composite
+def uniform_csv_texts(draw):
+    """t,y CSVs on a uniform grid, so differentiate gets past its input checks."""
+    n = draw(st.integers(2, 40))
+    a = draw(st.sampled_from([0.0, -1e308, 1e300, -5.0]))
+    b = a + draw(st.sampled_from([1.0, 1e-300, 1e308, 3.0]))
+    values = draw(st.lists(cli_numbers().filter(np.isfinite), min_size=n, max_size=n))
+    return "t,y\n" + "".join(f"{t!r},{y!r}\n"
+                               for t, y in zip(np.linspace(a, b, n).tolist(), values))
+
+
+@st.composite
+def differentiate_flags(draw):
+    """Flags of differentiate, well or badly formed; --alpha and --rule may clash."""
+    def number(flag):
+        return f"{flag}={draw(cli_numbers())!r}"
+
+    flags = []
+    if draw(st.booleans()):
+        flags.append(number("--delta"))
+    choice = draw(st.sampled_from(["alpha", "alpha", "rule", "both", "neither"]))
+    if choice in ("alpha", "both"):
+        flags.append(number("--alpha"))
+    if choice in ("rule", "both"):
+        flags.append("--rule=" + draw(st.sampled_from(
+            ["sqrt", "power:0.5", "power:2", "power:x", "cube"])))
+    if draw(st.booleans()):
+        flags.append("--baseline=" + draw(st.sampled_from(
+            ["auto", "0,0", "1,-2", "1e308,-1e308", "nan,inf", "x", "1,2,3"])))
+    if draw(st.booleans()):
+        flags.append(number("--window"))
+    if draw(st.booleans()):
+        flags.append("--strict")
+    return flags
+
+
+def _scaled(value, factor):
+    """``value`` with every number in it multiplied by ``factor``."""
+    if isinstance(value, list):
+        return [_scaled(v, factor) for v in value]
+    if isinstance(value, dict):
+        return {k: _scaled(v, factor) for k, v in value.items()}
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value) * factor
+    return value
+
+
+def _base_problems():
+    n = 5
+    m = (np.eye(n) + 0.1 * np.arange(n * n).reshape(n, n) / n**2).tolist()
+    x = np.linspace(0.0, 1.0, n).tolist()
+    singular = np.diag([0.0, 1.0, 2.0, 3.0, 4.0]).tolist()
+    e0 = [1.0, 0.0, 0.0, 0.0, 0.0]
+    return [
+        {"matrix": m, "rhs": x, "stabilizer": {"scalar_alpha": {}}, "delta": 0.01,
+         "alpha": 0.1, "exact_solution": x, "exact_matrix": m},
+        {**volterra_payload(n=9), "rule": "sqrt"},
+        {"matrix": singular, "rhs": [0.0, 1.0, 1.0, 1.0, 1.0],
+         "stabilizer": {"finite_dim": {"phis": [e0], "psis": [e0]}}, "delta": 0.001,
+         "exact_solution": [0.0, 1.0, 0.5, 1 / 3, 0.25]},
+    ]
+
+
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.floats(), st.text(max_size=5)),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(st.text(max_size=5), inner, max_size=3)),
+    max_leaves=8)
+
+
+@st.composite
+def problem_texts(draw):
+    """A valid problem file with up to three keys dropped, replaced or rescaled."""
+    payload = draw(st.sampled_from(_base_problems()))
+    for _ in range(draw(st.integers(0, 3))):
+        key = draw(st.sampled_from(sorted(payload) + ["exact_matrix", "q_max", "rule",
+                                                      "interval", "operator"]))
+        action = draw(st.sampled_from(["drop", "replace", "scale"]))
+        if action == "drop":
+            payload.pop(key, None)
+        elif action == "replace":
+            payload[key] = draw(JSON_VALUES)
+        elif key in payload:
+            payload[key] = _scaled(payload[key], draw(cli_numbers()))
+    return json.dumps(payload)
+
+
+class TestExitCodes:
+    """Any input ends in a documented exit code, never in an exception."""
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=st.one_of(csv_texts(), uniform_csv_texts()), flags=differentiate_flags())
+    @example(text=OVERFLOW_CSV, flags=["--alpha=0.1"])
+    @example(text=FORM_FEED_CSV, flags=["--alpha=0.1"])
+    def test_differentiate(self, tmp_path, text, flags):
+        path = tmp_path / "in.csv"
+        path.write_text(text)
+        assert main(["differentiate", str(path), *flags,
+                     "--out", str(tmp_path / "out.csv")]) in EXIT_CODES
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=problem_texts(), command=st.sampled_from(["solve", "sweep"]),
+           alphas=st.sampled_from(["0.1", "0.5,0.01", "1e-300", "1e300", "nan", "inf", "x"]))
+    def test_solve_and_sweep(self, tmp_path, text, command, alphas):
+        path = tmp_path / "problem.json"
+        path.write_text(text)
+        argv = [command, str(path), "--out", str(tmp_path / "out")]
+        if command == "sweep":
+            argv.append("--alphas=" + alphas)
+        assert main(argv) in EXIT_CODES
 
 
 class TestTopLevel:

@@ -8,15 +8,14 @@ import pytest
 
 from perturbreg import (
     AlphaTooSmall,
-    Baseline,
     GridFunction,
+    SampleOverflow,
     WindowTooNarrow,
-    estimate_baseline,
     regularized_derivative,
     resolvent_apply,
-    resolvent_norm_bound,
     volterra_apply,
 )
+from perturbreg.differentiate import Baseline, estimate_baseline, resolvent_norm_bound
 
 
 def direct_resolvent(g: GridFunction, alpha: float) -> np.ndarray:
@@ -301,3 +300,22 @@ class TestRegularizedDerivative:
         y = GridFunction(0.0, 1.0, np.zeros(11))
         with pytest.raises(ValueError):
             regularized_derivative(y, -0.1)
+
+
+class TestFloat64Range:
+    def test_detrend_overflow_raises(self):
+        y = GridFunction(0.0, 1.5, np.array([1e308, -1.7e308, 1.7e308, -1.7e308]))
+        with pytest.raises(SampleOverflow, match="^the detrended samples left the float64"):
+            regularized_derivative(y, 0.1)
+
+    def test_resolvent_overflow_raises(self):
+        g = GridFunction(0.0, 1.0, np.full(5, 1e300))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", AlphaTooSmall)
+            with pytest.raises(SampleOverflow, match="^the resolvent output left"):
+                resolvent_apply(g, 1e-10)
+
+    def test_alpha_whose_square_overflows(self):
+        # alpha**2 of a Python float raises OverflowError above ~1.3e154
+        g = GridFunction(0.0, 1.0, np.linspace(0.0, 1.0, 9))
+        assert np.all(np.isfinite(resolvent_apply(g, 1e200).values))

@@ -12,10 +12,9 @@ from perturbreg import (
     UnknownExample,
     add_noise,
     convergence_study,
-    example_function,
-    example_interval,
     run_experiment,
 )
+from perturbreg.experiments import example_function, example_interval
 
 
 class TestExampleFunctions:
@@ -204,6 +203,22 @@ class TestConvergenceStudy:
         assert [r.delta for r in rows] == [0.1, 0.01]
         assert rows[0].alpha == pytest.approx(math.sqrt(0.1))
         assert rows[1].alpha == pytest.approx(0.1)
+
+    def test_rows_keep_each_run_report(self):
+        deltas, seeds = [0.1, 0.01], [4, 9, 2]
+        rows = convergence_study(2, deltas, seeds, n=64)
+        for row, delta in zip(rows, deltas):
+            assert [rep.seed for rep in row.reports] == seeds
+            for rep, seed in zip(row.reports, seeds):
+                ref = run_experiment(2, delta, seed, n=64)
+                assert (rep.delta, rep.alpha, rep.max_error_full, rep.max_error_interior) == \
+                    (ref.delta, ref.alpha, ref.max_error_full, ref.max_error_interior)
+                np.testing.assert_array_equal(rep.derivative.values, ref.derivative.values)
+                np.testing.assert_array_equal(rep.exact_derivative.values,
+                                              ref.exact_derivative.values)
+
+    def test_reports_take_no_part_in_row_equality(self):
+        assert convergence_study(1, [0.1], [1], n=64) == convergence_study(1, [0.1], [1], n=64)
 
     def test_empty_inputs_rejected(self):
         with pytest.raises(ValueError):

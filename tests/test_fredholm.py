@@ -11,9 +11,10 @@ from perturbreg import (
     SingularSystem,
     build_stabilizer,
     nullspace_basis,
-    project_rhs,
     solve_fredholm_regularized,
 )
+from perturbreg.fredholm import project_rhs
+from perturbreg.solve import c_alpha_estimate
 
 
 def e(i, n):
@@ -172,6 +173,18 @@ class TestSolveFredholmRegularized:
                                          np.array([0.0, 1.0, 1.0]), delta=0.1)
         assert rep.c_alpha_est > 0.0
         assert rep.q_est == pytest.approx(0.1 * rep.c_alpha_est)
+
+    def test_c_alpha_is_the_shared_estimate(self):
+        rep = solve_fredholm_regularized(self.A, self.basis, np.array([0.0, 1.0, 1.0]))
+        assert rep.c_alpha_est == c_alpha_estimate(self.A, self.basis.stabilizer, 1.0)
+
+    def test_observed_error_needs_x_star(self):
+        f = np.array([0.0, 1.0, 1.0])
+        assert solve_fredholm_regularized(self.A, self.basis, f).observed_error is None
+        x_star = np.array([0.0, 1.0, 0.4])
+        rep = solve_fredholm_regularized(self.A, self.basis, f, x_star=x_star)
+        assert rep.observed_error == np.max(np.abs(rep.solution - x_star))
+        assert rep.gap is None and rep.bound is None
 
     def test_unshifted_defect_raises(self):
         # stabilizer built for the wrong direction leaves the system singular

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
 
-from perturbreg import (
-    DiscreteOperator,
-    GridFunction,
-    Stabilizer,
+from perturbreg import DiscreteOperator, GridFunction, Stabilizer
+from perturbreg.operators import (
     cumulative_trapezoid_matrix,
+    first_order_scan,
+    running_trapezoid,
     trapezoid_weights,
 )
-from perturbreg.operators import first_order_scan, running_trapezoid
 
 
 def loop_scan(u, r):

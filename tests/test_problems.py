@@ -10,15 +10,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from perturbreg import (
-    DegenerateGram,
-    PowerDelta,
-    ProblemFormatError,
-    SqrtDelta,
-    load_problem,
-    parse_rule,
-)
-from perturbreg.problems import validate_problem
+from perturbreg import DegenerateGram, ProblemFormatError
+from perturbreg.problems import load_problem, parse_rule, validate_problem
+from perturbreg.solve import PowerDelta, SqrtDelta
 
 # The JSON schema problem files were once validated against. It is kept here
 # as the reference the built-in validator is compared with.

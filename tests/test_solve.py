@@ -7,27 +7,26 @@ import numpy as np
 import pytest
 
 from perturbreg import (
-    ChainStep,
     DegenerateDelta,
     DiscreteOperator,
-    Fixed,
     GridFunction,
-    PowerDelta,
     QOutOfRange,
     RegConfig,
     SingularSystem,
-    SqrtDelta,
     Stabilizer,
-    c_alpha_estimate,
-    chain_solve,
-    coordinate_alpha,
-    error_bound,
-    invertibility_margin,
+    operators,
     solve_perturbed,
     stabilization_gap,
     stabilization_sweep,
 )
-from perturbreg import operators
+from perturbreg.solve import (
+    PowerDelta,
+    SqrtDelta,
+    c_alpha_estimate,
+    coordinate_alpha,
+    error_bound,
+    invertibility_margin,
+)
 
 SHIFTED_SIZES = [2, 64, 1024]
 SHIFTED_ALPHAS = {"0.1": lambda h: 0.1, "h": lambda h: h, "h/4": lambda h: h / 4,
@@ -56,9 +55,6 @@ class TestCoordinateAlpha:
     def test_power_rule(self):
         assert coordinate_alpha(0.001, PowerDelta(1.0 / 3.0)) == pytest.approx(0.1)
 
-    def test_fixed_rule_ignores_delta(self):
-        assert coordinate_alpha(1e-8, Fixed(0.7)) == 0.7
-
     def test_nonpositive_delta_rejected(self):
         with pytest.raises(DegenerateDelta):
             coordinate_alpha(0.0, SqrtDelta())
@@ -70,10 +66,6 @@ class TestCoordinateAlpha:
             PowerDelta(1.0)
         with pytest.raises(ValueError):
             PowerDelta(0.0)
-
-    def test_fixed_alpha_validated(self):
-        with pytest.raises(ValueError):
-            Fixed(0.0)
 
 
 class TestRegConfig:
@@ -385,33 +377,3 @@ class TestStabilizationGap:
         A = DiscreteOperator.volterra(0.0, 1.0, 33)
         with pytest.raises(ValueError):
             stabilization_sweep(A, Stabilizer.scalar_alpha(), [0.1, 0.0], np.ones(33))
-
-
-class TestChainSolve:
-    def test_single_term_chain_is_empty(self):
-        A = DiscreteOperator.dense(np.eye(2))
-        assert chain_solve(A, Stabilizer.scalar_alpha(), np.ones(2), 1) == []
-
-    def test_rejects_nonpositive_length(self):
-        A = DiscreteOperator.dense(np.eye(2))
-        with pytest.raises(ValueError):
-            chain_solve(A, Stabilizer.scalar_alpha(), np.ones(2), 0)
-
-    def test_integration_chain_recovers_constant(self):
-        # A x1 = x0 with x0(t) = t: x1 should sit near 1, the exact preimage
-        n = 201
-        A = DiscreteOperator.volterra(0.0, 1.0, n)
-        t = np.linspace(0.0, 1.0, n)
-        steps = chain_solve(A, Stabilizer.scalar_alpha(), t, 2)
-        assert len(steps) == 1
-        assert steps[0].residual_norm <= 1e-12
-        assert np.max(np.abs(steps[0].x - 1.0)) <= 2.0 * (t[1] - t[0])
-
-    def test_range_deficiency_shows_up_in_residual(self):
-        # rhs leaves range(A) at the first step, then the chain collapses to zero
-        A = DiscreteOperator.dense(np.diag([0.0, 1.0]))
-        steps = chain_solve(A, Stabilizer.scalar_alpha(), np.array([1.0, 0.0]), 3)
-        assert isinstance(steps[0], ChainStep)
-        np.testing.assert_allclose(steps[0].x, np.zeros(2), atol=1e-14)
-        assert steps[0].residual_norm == pytest.approx(1.0)
-        assert steps[1].residual_norm == pytest.approx(0.0, abs=1e-14)
