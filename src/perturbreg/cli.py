@@ -12,6 +12,7 @@ the exact binary values.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -54,20 +55,28 @@ EXIT_SINGULAR = 5
 DEFAULT_SEED = 42
 SEED_ENV_VAR = "PERTURBREG_SEED"
 
+# Rows formatted per write when differentiate streams its CSV.
+CSV_BLOCK_ROWS = 4096
+
 
 def fmt(x: float) -> str:
     """Shortest decimal that round-trips to the same float64."""
     return repr(float(x))
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    # Temp file in the destination directory, then rename: readers never see
-    # a half-written file, and two identical runs leave identical bytes.
+@contextlib.contextmanager
+def _atomic_open(path: Path):
+    """A text file for writing at ``path``; it appears, whole, when the block ends.
+
+    Temp file in the destination directory, then rename: readers never see a
+    half-written file, and two identical runs leave identical bytes. On an
+    error the temp file is removed and ``path`` is left as it was.
+    """
     path = Path(path)
     fd, tmp_name = tempfile.mkstemp(dir=str(path.parent), prefix=path.name + ".")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp_name, path)
     except BaseException:
         try:
@@ -77,58 +86,110 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
-def _emit(text: str, out: str | None) -> None:
+def _atomic_write(path: Path, text: str) -> None:
+    with _atomic_open(path) as fh:
+        fh.write(text)
+
+
+@contextlib.contextmanager
+def _output(out: str | None):
+    """stdout, or an atomically written file at ``out``, for writing in pieces."""
     if out is None:
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
-        _atomic_write(Path(out), text)
+        with _atomic_open(Path(out)) as fh:
+            yield fh
 
 
-def _csv_text(header: list[str], columns: list) -> str:
+def _emit(text: str, out: str | None) -> None:
+    with _output(out) as fh:
+        fh.write(text)
+
+
+def _csv_text(header: list[str] | None, columns: list) -> str:
     # repr of a Python float is what ``fmt`` prints; tolist() makes the
     # floats in one C loop instead of one numpy scalar per value. A column
     # that is a list holds its strings already: a grid printed once for many
-    # files, or integers.
+    # files, or integers. With header None only the rows are printed, as a
+    # block of a longer CSV.
     cells = [col if isinstance(col, list) else map(repr, np.asarray(col, dtype=float).tolist())
              for col in columns]
-    return "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n"
+    rows = map(",".join, zip(*cells))
+    return "\n".join(rows if header is None else [",".join(header), *rows]) + "\n"
+
+
+def _write_csv(fh, header: list[str], columns: list) -> None:
+    """Write what ``_csv_text(header, columns)`` returns, CSV_BLOCK_ROWS rows at a time.
+
+    Only one block's strings are alive at once, so the memory a write takes
+    does not grow with the row count.
+    """
+    for start in range(0, max(len(columns[0]), 1), CSV_BLOCK_ROWS):
+        fh.write(_csv_text(header if start == 0 else None,
+                           [col[start:start + CSV_BLOCK_ROWS] for col in columns]))
 
 
 class _CsvError(Exception):
     pass
 
 
+# loadtxt strips these around a field as whitespace; float() rejects them.
+_LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+_SCAN_CHARS = 1 << 20
+
+
 def read_csv_columns(path) -> tuple[list[str], np.ndarray]:
     """Read a headed numeric CSV as (header, rows); raises _CsvError on junk.
 
     Blank lines are skipped; error messages number the lines of the file,
-    blank ones included. Lines end at newlines only: read_text has made
-    \\r and \\r\\n into \\n, and the other breaks str.splitlines knows (form
-    feed, U+2028, ...) stay inside a field, where float() strips them.
+    blank ones included. Lines end at newlines only: reading in text mode
+    makes \\r and \\r\\n into \\n, and the other breaks str.splitlines
+    knows (form feed, U+2028, ...) stay inside a field, where float() strips
+    them.
     """
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        with open(path) as fh:
+            return _read_csv(fh)
+    except (OSError, UnicodeDecodeError) as exc:
         raise _CsvError(f"cannot read {path}: {exc}") from exc
-    lines = list(map(str.strip, text.split("\n")))
-    filled = list(filter(None, lines))
-    if len(filled) < 2:
+
+
+def _next_filled_line(fh) -> tuple[int, str]:
+    """The position and stripped text of the next nonblank line; text '' at the end."""
+    while True:
+        position = fh.tell()
+        line = fh.readline()
+        if not line or line.strip():
+            return position, line.strip()
+
+
+def _read_csv(fh) -> tuple[list[str], np.ndarray]:
+    _, header_line = _next_filled_line(fh)
+    start, first_row = _next_filled_line(fh)
+    if not first_row:
         raise _CsvError("need a header line and at least one data row")
-    header = [field.strip() for field in filled[0].split(",")]
-    # One numpy pass for well-formed input. loadtxt converts each field with
-    # the interpreter's own PyOS_string_to_double, so the values it accepts
-    # are the ones float() gives. What it rejects (also '1_0' or non-ASCII
-    # digits, which float() takes) goes through the line loop. The
-    # characters loadtxt takes and float() does not are U+001C-U+001F, which
-    # loadtxt strips around a field as whitespace.
+    header = [field.strip() for field in header_line.split(",")]
+    # One numpy pass over the open file for well-formed input. loadtxt
+    # converts each field with the interpreter's own PyOS_string_to_double,
+    # and strips the whitespace str.strip does around it, so the values it
+    # accepts are the ones float() gives. The lines are stripped as they are
+    # read, so a whitespace-only line is empty and skipped, as a blank one
+    # is. What loadtxt rejects (also '1_0' or non-ASCII digits, which
+    # float() takes) goes through the line loop, and so does a file that
+    # holds a character of _LOADTXT_ONLY_SPACE.
     data = None
-    if not any(char in text for char in "\x1c\x1d\x1e\x1f"):
+    fh.seek(start)
+    chunks = iter(lambda: fh.read(_SCAN_CHARS), "")
+    if not any(char in chunk for chunk in chunks for char in _LOADTXT_ONLY_SPACE):
+        fh.seek(start)
         try:
-            data = np.loadtxt(filled[1:], delimiter=",", comments=None, dtype=float, ndmin=2)
+            data = np.loadtxt(map(str.strip, fh), delimiter=",", comments=None,
+                              dtype=float, ndmin=2)
         except ValueError:
             pass
     if data is None or data.shape[1] != len(header) or not np.isfinite(data).all():
-        data = _parse_rows(lines, len(header))
+        fh.seek(0)
+        data = _parse_rows(list(map(str.strip, fh.read().split("\n"))), len(header))
     return header, data
 
 
@@ -172,18 +233,18 @@ def _cmd_differentiate(args) -> int:
     if h <= 0.0 or np.any(spacing <= 0.0) or np.max(np.abs(spacing - h)) > 1e-9 * h:
         return _fail("t must be strictly increasing with uniform spacing", EXIT_GRID)
 
+    if not 0.0 <= args.delta < math.inf:
+        return _fail(f"--delta must be a finite number >= 0, got {args.delta}", EXIT_USAGE)
+    for flag, value in (("--alpha", args.alpha), ("--window", args.window)):
+        if value is not None and not 0.0 < value < math.inf:
+            return _fail(f"{flag} must be {'finite' if value > 0.0 else 'positive'}, "
+                         f"got {value}", EXIT_USAGE)
     try:
-        if args.alpha is not None:
-            if not args.alpha > 0.0:
-                return _fail(f"--alpha must be positive, got {args.alpha}", EXIT_USAGE)
-            alpha = args.alpha
-        else:
-            alpha = coordinate_alpha(args.delta, parse_rule(args.rule or "sqrt"))
+        alpha = args.alpha if args.alpha is not None \
+            else coordinate_alpha(args.delta, parse_rule(args.rule or "sqrt"))
     except PerturbregError as exc:
         return _fail(str(exc), EXIT_USAGE)
 
-    if args.window is not None and not args.window > 0.0:
-        return _fail(f"--window must be positive, got {args.window}", EXIT_USAGE)
     baseline = None
     if args.baseline != "auto":
         try:
@@ -192,10 +253,13 @@ def _cmd_differentiate(args) -> int:
         except ValueError:
             return _fail(f"--baseline must be 'auto' or 'c,d', got {args.baseline!r}",
                          EXIT_USAGE)
+        if not (math.isfinite(baseline.c) and math.isfinite(baseline.d)):
+            return _fail(f"--baseline anchors must be finite, got {args.baseline!r}",
+                         EXIT_USAGE)
 
     try:
         with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
+            warnings.simplefilter("always", AlphaTooSmall)
             result = regularized_derivative(GridFunction(t[0], t[-1], y), alpha,
                                             baseline=baseline, window=args.window)
     except PerturbregError as exc:
@@ -208,8 +272,9 @@ def _cmd_differentiate(args) -> int:
 
     print(f"alpha={fmt(alpha)} q_proxy={fmt(2.0 * args.delta / alpha)} "
           f"boundary_layer_width={fmt(result.boundary_layer_width)}", file=sys.stderr)
-    _emit(_csv_text(["t", "dy", "x_alpha"],
-                    [t, result.derivative.values, result.x_alpha.values]), args.out)
+    with _output(args.out) as fh:
+        _write_csv(fh, ["t", "dy", "x_alpha"],
+                   [t, result.derivative.values, result.x_alpha.values])
     return EXIT_OK
 
 
@@ -267,8 +332,8 @@ def _cmd_solve(args) -> int:
 
 def _parse_deltas(text: str) -> list[float]:
     deltas = [float(field) for field in text.split(",") if field.strip()]
-    if not deltas or any(d <= 0.0 for d in deltas):
-        raise ValueError("every delta must be a positive number")
+    if not deltas or not all(0.0 < d < math.inf for d in deltas):
+        raise ValueError("every delta must be a positive finite number")
     return deltas
 
 
@@ -305,10 +370,13 @@ def _cmd_experiment(args) -> int:
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        rows = convergence_study(args.example, deltas, [seed + i for i in range(args.seeds)],
-                                 n=args.n)
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", AlphaTooSmall)
+            rows = convergence_study(args.example, deltas,
+                                     [seed + i for i in range(args.seeds)], n=args.n)
+    except PerturbregError as exc:
+        return _fail(str(exc), EXIT_USAGE)
     # AlphaTooSmall comes once per run; say each distinct message once.
     for message in dict.fromkeys(str(w.message) for w in caught):
         print(f"warning: {message}", file=sys.stderr)
@@ -351,8 +419,8 @@ def _cmd_sweep(args) -> int:
         alphas = [float(field) for field in args.alphas.split(",") if field.strip()]
     except ValueError as exc:
         return _fail(f"--alphas: {exc}", EXIT_USAGE)
-    if not alphas or any(a <= 0.0 for a in alphas):
-        return _fail("--alphas needs a nonempty list of positive numbers", EXIT_USAGE)
+    if not alphas or not all(0.0 < a < math.inf for a in alphas):
+        return _fail("--alphas needs a nonempty list of positive finite numbers", EXIT_USAGE)
 
     # The sweep plans a parameter choice, so it rates the operator it is
     # given: the exact one when the file carries it, the observed otherwise.

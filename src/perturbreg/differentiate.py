@@ -184,10 +184,12 @@ def regularized_derivative(y_tilde: GridFunction, alpha: float,
     """
     if alpha <= 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    if baseline is None:
-        width = window if window is not None else max(2.0 * y_tilde.h, alpha)
-        baseline = estimate_baseline(y_tilde, width)
     with np.errstate(over="ignore", invalid="ignore"):
+        if baseline is None:
+            # 2h is inf on a grid wider than half the float64 range; the
+            # window then holds every sample, as it should.
+            width = window if window is not None else max(2.0 * y_tilde.h, alpha)
+            baseline = estimate_baseline(y_tilde, width)
         detrended = _finite(y_tilde.values - baseline.c - baseline.d * (y_tilde.t - y_tilde.a),
                             "the detrended samples")
         x_alpha = resolvent_apply(y_tilde.with_values(detrended), alpha)

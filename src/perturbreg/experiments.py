@@ -9,13 +9,14 @@ because the boundary bias and the noise response scale differently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .differentiate import regularized_derivative
-from .errors import UnknownExample
+from .errors import SampleOverflow, UnknownExample
 from .grid import GridFunction
 from .solve import SqrtDelta, coordinate_alpha
 
@@ -48,8 +49,8 @@ class NoiseSpec:
     distribution: str = "gaussian_unit"
 
     def __post_init__(self):
-        if self.delta < 0.0:
-            raise ValueError(f"delta must be >= 0, got {self.delta}")
+        if not 0.0 <= self.delta < math.inf:
+            raise ValueError(f"delta must be a finite number >= 0, got {self.delta}")
         if self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
         if self.distribution not in _UNIT_DRAWS:
@@ -118,11 +119,16 @@ def add_noise(y: GridFunction, spec: NoiseSpec) -> GridFunction:
     With delta = 0 the samples pass through unchanged. The unit draw is made
     regardless, so the noise pattern for a given seed and distribution is one
     fixed vector that delta only scales. Only "uniform_bounded" guarantees
-    ||f~ - f||_inf <= delta.
+    ||f~ - f||_inf <= delta. Raises SampleOverflow when a noisy sample
+    leaves the float64 range (delta near 1.8e308 can).
     """
     rng = np.random.default_rng(spec.seed)
     unit = _UNIT_DRAWS[spec.distribution](rng, y.n)
-    return y.with_values(y.values + spec.delta * unit)
+    with np.errstate(over="ignore", invalid="ignore"):
+        noisy = y.values + spec.delta * unit
+    if not np.isfinite(noisy).all():
+        raise SampleOverflow("the noisy samples left the float64 range")
+    return y.with_values(noisy)
 
 
 @dataclass(frozen=True)
@@ -193,6 +199,26 @@ class StudyRow:
     reports: tuple[ExperimentReport, ...] = field(compare=False, repr=False)
 
 
+def _median(values: Sequence[float]) -> float:
+    """``np.median`` of a nonempty sequence, bit for bit, NaN if any value is NaN.
+
+    np.median imports numpy.ma on first use, which costs a cold process
+    several milliseconds and megabytes. This is its own recipe without it:
+    the same partition (so even equal values such as 0.0 and -0.0 come out in
+    the same order), NaN when the partition puts one last, and the mean of
+    the middle one or two values as np.mean takes it: summed from 0.0 (which
+    turns a -0.0 into 0.0), then divided by the count. Python floats do the
+    sum, so it overflows to inf without a warning.
+    """
+    size = len(values)
+    mid = size // 2
+    kth = [mid - 1, mid, -1] if size % 2 == 0 else [mid, -1]
+    part = np.partition(np.asarray(values, dtype=float), kth).tolist()
+    if math.isnan(part[-1]):
+        return part[-1]
+    return 0.0 + part[mid] if size % 2 else (0.0 + part[mid - 1] + part[mid]) / 2.0
+
+
 def convergence_study(example_id: int, deltas: Sequence[float], seeds: Sequence[int],
                       n: int = 512) -> list[StudyRow]:
     """Median differentiation errors per noise level, over a set of seeds.
@@ -217,8 +243,8 @@ def convergence_study(example_id: int, deltas: Sequence[float], seeds: Sequence[
             delta=delta,
             alpha=reports[0].alpha,
             seed_count=len(seeds),
-            median_max_error_full=float(np.median([r.max_error_full for r in reports])),
-            median_max_error_interior=float(np.median([r.max_error_interior for r in reports])),
+            median_max_error_full=_median([r.max_error_full for r in reports]),
+            median_max_error_interior=_median([r.max_error_interior for r in reports]),
             reports=tuple(reports),
         ))
     return rows

@@ -62,6 +62,18 @@ def nullspace_basis(matrix: np.ndarray, rtol: float = 1e-10) -> tuple[np.ndarray
     return vt[null_mask].copy(), u[:, null_mask].T.copy()
 
 
+def _unit_rows(rows: np.ndarray) -> np.ndarray:
+    """Each row over its 2-norm, a zero row left zero.
+
+    Dividing by the largest entry first keeps the norm from overflowing; it
+    leaves every nonzero row with a norm of at least 1, so the clip only
+    touches zero rows.
+    """
+    peak = np.max(np.abs(rows), axis=1, keepdims=True)
+    scaled = np.divide(rows, peak, out=np.zeros_like(rows), where=peak > 0.0)
+    return scaled / np.linalg.norm(scaled, axis=1, keepdims=True).clip(min=1.0)
+
+
 def build_stabilizer(phis, psis, gammas=None, zs=None) -> FredholmBasis:
     """Assemble and validate the null-space data for a finite-rank stabilizer.
 
@@ -97,21 +109,27 @@ def build_stabilizer(phis, psis, gammas=None, zs=None) -> FredholmBasis:
     if gammas.shape != phis.shape:
         raise ValueError(f"gammas shape {gammas.shape} does not match phis {phis.shape}")
 
-    pairing = phis @ gammas.T
-    scale = float(np.prod([np.linalg.norm(phis[i]) * np.linalg.norm(gammas[i])
-                           for i in range(k)]))
-    if abs(float(np.linalg.det(pairing))) <= _DET_TOL * scale:
+    # The pairing of unit rows: the test does not depend on how the rows are
+    # scaled, and no product of norms can overflow.
+    if abs(float(np.linalg.det(_unit_rows(phis) @ _unit_rows(gammas).T))) <= _DET_TOL:
         raise DegenerateGram(
-            f"|det <phi_i, gamma_k>| <= {_DET_TOL:g} * {scale:g}; "
+            f"|det <phi_i, gamma_k>| <= {_DET_TOL:g} for unit phi_i and gamma_k; "
             "the stabilizer cannot separate the null directions")
 
     if zs is None:
-        gram = psis @ psis.T
+        # Solved on psis scaled by one power of two, which is exact and keeps
+        # the Gram matrix in range; zs scale back the same way.
+        shift = int(np.frexp(np.max(np.abs(psis)))[1])
+        scaled = np.ldexp(psis, -shift)
         try:
-            zs = np.linalg.solve(gram, psis)
+            with np.errstate(over="raise"):
+                zs = np.ldexp(np.linalg.solve(scaled @ scaled.T, scaled), -shift)
         except np.linalg.LinAlgError as exc:
             raise BiorthogonalityFailed(
                 f"psis are linearly dependent, Gram matrix is singular: {exc}") from exc
+        except FloatingPointError as exc:
+            raise BiorthogonalityFailed(
+                "psis are too small: the biorthogonal zs leave the float64 range") from exc
     else:
         zs = _stack_vectors(zs, "zs")
         if zs.shape != psis.shape:

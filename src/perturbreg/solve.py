@@ -60,10 +60,14 @@ def coordinate_alpha(delta: float, rule: CoordinationRule) -> float:
     Raises
     ------
     DegenerateDelta
-        If delta <= 0; a vanishing noise level does not select a parameter.
+        If delta is not a positive finite number; a vanishing noise level
+        does not select a parameter, and an infinite or NaN one selects
+        nothing usable.
     """
-    if delta <= 0.0:
+    if not delta > 0.0:
         raise DegenerateDelta(f"noise level must be positive, got {delta}")
+    if math.isinf(delta):
+        raise DegenerateDelta(f"noise level must be finite, got {delta}")
     if rule is SqrtDelta or isinstance(rule, SqrtDelta):
         return math.sqrt(delta)
     if isinstance(rule, PowerDelta):
@@ -87,12 +91,12 @@ class RegConfig:
     q_max: float = 0.5
 
     def __post_init__(self):
-        if self.delta < 0.0:
-            raise ValueError(f"delta must be >= 0, got {self.delta}")
+        if not 0.0 <= self.delta < math.inf:
+            raise ValueError(f"delta must be a finite number >= 0, got {self.delta}")
         if (self.alpha is None) == (self.rule is None):
             raise ValueError("exactly one of alpha and rule must be set")
-        if self.alpha is not None and self.alpha <= 0.0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if self.alpha is not None and not 0.0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
         if not 0.0 < self.q_max < 1.0:
             raise ValueError(f"q_max must lie in (0, 1), got {self.q_max}")
 

@@ -1,9 +1,12 @@
 """End-to-end tests for the command-line interface."""
 
+import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,16 +18,19 @@ from perturbreg import (
     DiscreteOperator,
     GridFunction,
     Stabilizer,
+    cli,
     operators,
     regularized_derivative,
     run_experiment,
     stabilization_gap,
 )
 from perturbreg.cli import (
+    CSV_BLOCK_ROWS,
     DEFAULT_SEED,
     SEED_ENV_VAR,
     _CsvError,
     _csv_text,
+    _write_csv,
     fmt,
     main,
     read_csv_columns,
@@ -135,6 +141,16 @@ class TestFloatFormat:
         assert _csv_text(["a", "b"], [list(map(fmt, values)), columns[1]]) == \
             csv_by_value(["a", "b"], columns)
 
+    @pytest.mark.parametrize("n", [0, 1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS,
+                                   CSV_BLOCK_ROWS + 1, 3 * CSV_BLOCK_ROWS + 7])
+    def test_blocks_join_to_the_one_shot_text(self, n):
+        rng = np.random.default_rng(n)
+        columns = [list(map(str, range(n))), rng.standard_normal(n),
+                   np.exp(50.0 * rng.standard_normal(n))]
+        fh = io.StringIO()
+        _write_csv(fh, ["i", "a", "b"], columns)
+        assert fh.getvalue() == _csv_text(["i", "a", "b"], columns)
+
 
 # Fields the one-pass reader and float() may treat differently: underscores,
 # non-ASCII digits and spaces, comment and quote characters, hex, partial
@@ -229,6 +245,32 @@ class TestCsvReader:
         assert header == ["t", "y"]
         assert data.tolist() == [[0.0, 1.0], [0.5, 2.0]]
 
+    @pytest.mark.parametrize("text", [
+        "\n\n  \nt,y\n0,1\n0.5,2\n",  # blank lines before the header
+        "t,y\n0,1\n  \n\t\n0.5,2\n \n",  # whitespace-only lines
+        "t,y\r\n0,1\r\n\r\n0.5,2\r\n",  # CRLF
+        "t,y\n0,1\n0.5,2",  # no final newline
+        "\r\n \r\nt,y\r\n 0 , 1 \r\n\t\r\n0.5,2",  # all of them
+    ])
+    def test_file_fast_path_matches_line_loop(self, tmp_path, monkeypatch, text):
+        path = tmp_path / "in.csv"
+        path.write_bytes(text.encode())
+        expected = csv_outcome(read_csv_by_lines, path)
+
+        def line_loop_not_wanted(lines, width):
+            raise AssertionError("fell back to the line loop")
+
+        monkeypatch.setattr(cli, "_parse_rows", line_loop_not_wanted)
+        assert csv_outcome(read_csv_columns, path) == expected
+
+    def test_undecodable_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "in.csv"
+        path.write_bytes(b"t,y\n0,1\n1,\xff\n")
+        assert main(["differentiate", str(path), "--alpha", "0.1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: malformed CSV: cannot read {path}: ")
+        assert err.count("\n") == 1
+
 
 class TestDifferentiate:
     def test_writes_derivative_csv(self, tmp_path, capsys):
@@ -274,6 +316,43 @@ class TestDifferentiate:
                                         coordinate_alpha(0.01, SqrtDelta()))
         assert out.read_text() == csv_by_value(
             ["t", "dy", "x_alpha"], [t, result.derivative.values, result.x_alpha.values])
+
+    @pytest.mark.parametrize("n", [2, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS,
+                                   CSV_BLOCK_ROWS + 1, 3 * CSV_BLOCK_ROWS + 7])
+    def test_streamed_output_matches_one_shot_text(self, tmp_path, capsys, n):
+        t = np.linspace(0.0, 3.0, n)
+        y = np.cos(t) + 0.01 * np.random.default_rng(n).standard_normal(n)
+        src = write_csv(tmp_path / "in.csv", t, y)
+        alpha = 3.0  # not below the spacing of two samples
+        result = regularized_derivative(GridFunction(t[0], t[-1], y), alpha)
+        expected = _csv_text(["t", "dy", "x_alpha"],
+                             [t, result.derivative.values, result.x_alpha.values])
+        out = tmp_path / "d.csv"
+        assert main(["differentiate", str(src), "--alpha", repr(alpha), "--out", str(out)]) == 0
+        assert out.read_text() == expected
+        capsys.readouterr()
+        assert main(["differentiate", str(src), "--alpha", repr(alpha)]) == 0
+        assert capsys.readouterr().out == expected
+
+    def test_peak_memory_stays_a_small_multiple_of_the_input(self, tmp_path, capsys):
+        # The CSV is read by loadtxt from the open file and written a block
+        # of rows at a time, so no per-line strings of the whole file live at
+        # once: the traced peak stays below 4x the input's size (one-shot
+        # reading and formatting took 7.3x).
+        n = 200_000
+        t = np.linspace(0.0, 3.0, n)
+        y = np.sin(t) + 0.001 * np.random.default_rng(4).standard_normal(n)
+        src = tmp_path / "big.csv"
+        src.write_text(_csv_text(["t", "y"], [t, y]))
+        tracemalloc.start()
+        try:
+            code = main(["differentiate", str(src), "--delta", "0.001",
+                         "--out", str(tmp_path / "d.csv")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 4 * src.stat().st_size
 
     def test_no_stray_temp_files(self, tmp_path):
         out = tmp_path / "out.csv"
@@ -349,6 +428,19 @@ class TestDifferentiate:
         flag, value = flags[-2:]
         assert capsys.readouterr().err == f"error: {flag} must be positive, got {float(value)}\n"
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--delta", "nan"], "--delta must be a finite number >= 0, got nan"),
+        (["--delta", "inf"], "--delta must be a finite number >= 0, got inf"),
+        (["--delta", "-1", "--alpha", "0.5"], "--delta must be a finite number >= 0, got -1.0"),
+        (["--alpha", "inf"], "--alpha must be finite, got inf"),
+        (["--alpha", "0.1", "--window", "inf"], "--window must be finite, got inf"),
+        (["--alpha", "0.1", "--baseline", "nan,0"],
+         "--baseline anchors must be finite, got 'nan,0'"),
+    ])
+    def test_non_finite_or_negative_flags_exit_2(self, tmp_path, capsys, flags, message):
+        assert main(["differentiate", str(linear_csv(tmp_path)), *flags]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_nonpositive_alpha_rejected(self, tmp_path):
         assert main(["differentiate", str(linear_csv(tmp_path)), "--alpha", "-1"]) == 2
 
@@ -364,6 +456,18 @@ class TestDifferentiate:
                      "--out", str(tmp_path / "o.csv")])
         assert code == 0
         assert "warning:" in capsys.readouterr().err
+
+
+    def test_stray_runtime_warning_is_not_swallowed(self, tmp_path, monkeypatch):
+        # Only AlphaTooSmall is recorded for the stderr note; any other
+        # warning reaches the caller's filters, so an error filter sees it.
+        def warns(*args, **kwargs):
+            warnings.warn("stray", RuntimeWarning)
+        monkeypatch.setattr(cli, "regularized_derivative", warns)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(RuntimeWarning, match="stray"):
+                main(["differentiate", str(linear_csv(tmp_path)), "--alpha", "0.1"])
 
 
 class TestSolve:
@@ -412,6 +516,20 @@ class TestSolve:
         assert report["alpha"] is None
         np.testing.assert_allclose(report["solution"], [0.0, 1.0, 0.5], atol=1e-12)
         np.testing.assert_allclose(report["selection"], [0.0], atol=1e-10)
+
+    def test_unnormalized_null_vectors_solve_without_warnings(self, tmp_path, capsys):
+        payload = {
+            "matrix": [[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 2.0]],
+            "rhs": [0.0, 1.0, 1.0],
+            "stabilizer": {"finite_dim": {"phis": [[1e300, 0.0, 0.0]],
+                                          "psis": [[1e300, 0.0, 0.0]]}},
+            "delta": 0.0,
+        }
+        assert main(["solve", str(write_json(tmp_path, payload))]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        np.testing.assert_allclose(json.loads(captured.out)["solution"], [0.0, 1.0, 0.5],
+                                   atol=1e-12)
 
     def test_finite_dim_problem_reports_observed_error(self, tmp_path, capsys):
         payload = {
@@ -590,6 +708,38 @@ class TestExperiment:
         assert capsys.readouterr().err == \
             f"error: --seed (or ${SEED_ENV_VAR}) must be >= 0, got -1\n"
 
+    @pytest.mark.parametrize("deltas", ["nan", "0.1,inf"])
+    def test_non_finite_deltas_exit_2(self, tmp_path, capsys, deltas):
+        assert main(["experiment", "--example", "1", "--deltas", deltas,
+                     "--out", str(tmp_path / "runs")]) == 2
+        assert capsys.readouterr() == (
+            "", "error: --deltas: every delta must be a positive finite number\n")
+        assert not (tmp_path / "runs").exists()
+
+    def test_noise_past_float64_range_exits_2(self, tmp_path, capsys):
+        assert main(["experiment", "--example", "1", "--deltas", "1e308", "--n", "8",
+                     "--seeds", "1", "--out", str(tmp_path / "runs")]) == 2
+        assert capsys.readouterr() == (
+            "", "error: the noisy samples left the float64 range\n")
+
+    def test_stray_runtime_warning_is_not_swallowed(self, tmp_path, monkeypatch):
+        def warns(*args, **kwargs):
+            warnings.warn("stray", RuntimeWarning)
+        monkeypatch.setattr(cli, "convergence_study", warns)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(RuntimeWarning, match="stray"):
+                main(["experiment", "--example", "1", "--deltas", "0.01",
+                      "--out", str(tmp_path / "runs")])
+
+    def test_cold_run_leaves_numpy_ma_out(self, tmp_path):
+        # np.median imports numpy.ma on first use; the study's medians do not
+        code = ("import sys\nfrom perturbreg.cli import main\n"
+                "assert main(['experiment', '--example', '1', '--deltas', '0.01,0.001', "
+                f"'--seeds', '2', '--n', '64', '--out', {str(tmp_path)!r}]) == 0\n"
+                "print('numpy.ma' in sys.modules)")
+        assert run_in_fresh_interpreter(code).stdout.splitlines()[-1] == "False"
+
     def test_bad_flags(self, tmp_path):
         out = str(tmp_path / "runs")
         assert main(["experiment", "--example", "1", "--deltas", "0.1,-0.5",
@@ -728,6 +878,13 @@ class TestSweep:
         path = write_json(tmp_path, payload)
         assert main(["sweep", str(path), "--alphas", "0.1"]) == 2
 
+    @pytest.mark.parametrize("alphas", ["inf", "nan", "0.1,inf"])
+    def test_non_finite_alphas_exit_2(self, tmp_path, capsys, alphas):
+        path = write_json(tmp_path, self.volterra_payload())
+        assert main(["sweep", str(path), "--alphas", alphas]) == 2
+        assert capsys.readouterr() == (
+            "", "error: --alphas needs a nonempty list of positive finite numbers\n")
+
     def test_rejects_bad_alphas(self, tmp_path):
         path = write_json(tmp_path, self.volterra_payload())
         assert main(["sweep", str(path), "--alphas", "0.1,-0.2"]) == 2
@@ -840,6 +997,7 @@ class TestExitCodes:
     @given(text=st.one_of(csv_texts(), uniform_csv_texts()), flags=differentiate_flags())
     @example(text=OVERFLOW_CSV, flags=["--alpha=0.1"])
     @example(text=FORM_FEED_CSV, flags=["--alpha=0.1"])
+    @example(text="t,y\n0.0,1.0\n1e+308,1.0\n", flags=["--alpha=1.0"])  # 2h overflows
     def test_differentiate(self, tmp_path, text, flags):
         path = tmp_path / "in.csv"
         path.write_text(text)

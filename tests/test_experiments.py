@@ -14,7 +14,7 @@ from perturbreg import (
     convergence_study,
     run_experiment,
 )
-from perturbreg.experiments import example_function, example_interval
+from perturbreg.experiments import _median, example_function, example_interval
 
 
 class TestExampleFunctions:
@@ -99,6 +99,11 @@ class TestNoise:
             NoiseSpec(delta=0.1, seed=-1)
         with pytest.raises(ValueError):
             NoiseSpec(delta=0.1, seed=0, distribution="uniform")
+
+    @pytest.mark.parametrize("delta", [float("nan"), float("inf")])
+    def test_non_finite_delta_rejected(self, delta):
+        with pytest.raises(ValueError, match="finite"):
+            NoiseSpec(delta=delta, seed=0)
 
     def test_bounded_draw_meets_sup_norm_hypothesis(self):
         # n = 1e5 uniform draws on [-delta, delta): sup norm <= delta and
@@ -225,3 +230,33 @@ class TestConvergenceStudy:
             convergence_study(1, [], [1])
         with pytest.raises(ValueError):
             convergence_study(1, [0.1], [])
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+class TestMedian:
+    @pytest.mark.parametrize("values", [
+        [3.0], [2.0, 1.0], [1.0, 5.0, 2.0], [0.1, 0.7, 0.2, 0.3],
+        [1e308, 1.7e308], [-1e308, -1.7e308, 5.0, 6.0], [float("inf"), float("-inf")],
+        [-0.0, 0.0], [0.0, -0.0, 1.0], [-0.0], [-0.0, -0.0], [5e-324, 5e-324], [0.1, 0.2],
+    ])
+    def test_equals_np_median_bit_for_bit(self, values):
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and nan are the point
+            expected = np.median(values)
+        assert _bits(_median(values)) == _bits(expected)
+
+    def test_equals_np_median_on_random_counts(self):
+        rng = np.random.default_rng(11)
+        for size in range(1, 40):
+            values = (rng.standard_normal(size) * 10.0 ** rng.integers(-300, 300, size)).tolist()
+            assert _bits(_median(values)) == _bits(np.median(values))
+
+    @pytest.mark.parametrize("values", [
+        [float("nan")], [1.0, float("nan")], [float("nan"), 2.0, 1.0],
+        [float("inf"), float("nan"), float("-inf"), 0.0],
+    ])
+    def test_nan_propagates_like_np_median(self, values):
+        assert math.isnan(np.median(values))
+        assert math.isnan(_median(values))

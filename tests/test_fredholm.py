@@ -1,5 +1,7 @@
 """Tests for null-space stabilizers and the projected solve."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,36 @@ class TestBuildStabilizer:
     def test_degenerate_pairing_rejected(self):
         with pytest.raises(DegenerateGram):
             build_stabilizer([e(0, 3)], [e(0, 3)], gammas=[e(1, 3)])
+
+    @pytest.mark.parametrize("scale", [1e300, 1e-300])
+    def test_pairing_check_ignores_the_scale_of_the_rows(self, scale):
+        phis = [scale * e(0, 3) + 1e-3 * scale * e(2, 3)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            basis = build_stabilizer(phis, [e(0, 3)])
+        # the stored rows are the ones given
+        np.testing.assert_array_equal(basis.gammas, phis)
+        np.testing.assert_array_equal(basis.zs, [e(0, 3)])
+
+    @pytest.mark.parametrize("scale", [1e300, 1e-300, 3.0])
+    def test_default_zs_at_any_scale_of_the_psis(self, scale):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            basis = build_stabilizer([e(0, 3)], [scale * e(0, 3)])
+        np.testing.assert_allclose(basis.zs, [e(0, 3) / scale], rtol=1e-15)
+
+    def test_default_zs_out_of_range_rejected(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BiorthogonalityFailed, match="too small"):
+                build_stabilizer([e(0, 3)], [5e-324 * e(0, 3)])
+
+    @pytest.mark.parametrize("gammas", [[1e300 * e(1, 3)], [np.zeros(3)]])
+    def test_degenerate_pairing_rejected_at_any_scale(self, gammas):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateGram):
+                build_stabilizer([1e300 * e(0, 3)], [e(0, 3)], gammas=gammas)
 
     def test_supplied_zs_must_be_biorthogonal(self):
         with pytest.raises(BiorthogonalityFailed):

@@ -61,6 +61,11 @@ class TestCoordinateAlpha:
         with pytest.raises(DegenerateDelta):
             coordinate_alpha(-1.0, SqrtDelta())
 
+    @pytest.mark.parametrize("delta", [float("nan"), float("inf")])
+    def test_non_finite_delta_rejected(self, delta):
+        with pytest.raises(DegenerateDelta):
+            coordinate_alpha(delta, SqrtDelta())
+
     def test_power_exponent_validated(self):
         with pytest.raises(ValueError):
             PowerDelta(1.0)
@@ -90,6 +95,12 @@ class TestRegConfig:
     def test_negative_delta(self):
         with pytest.raises(ValueError):
             RegConfig(delta=-0.1, alpha=0.1)
+
+    @pytest.mark.parametrize("delta, alpha", [(float("nan"), 0.1), (float("inf"), 0.1),
+                                              (0.1, float("nan")), (0.1, float("inf"))])
+    def test_non_finite_delta_or_alpha(self, delta, alpha):
+        with pytest.raises(ValueError, match="finite"):
+            RegConfig(delta=delta, alpha=alpha)
 
 
 class TestMarginAndBound:
