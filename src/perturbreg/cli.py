@@ -3,10 +3,14 @@
 Exit codes: 0 success, 2 malformed input (flags, CSV, problem file),
 3 non-uniform sample grid, 4 alpha below grid spacing (differentiate under
 --strict; experiment when exp(-h/alpha) is below double precision),
-5 singular stabilized system. All file output is written atomically
-(temp file in the target directory, then rename) and floats are printed
-with shortest round-trip precision, so re-reading a produced CSV recovers
-the exact binary values.
+5 singular stabilized system. differentiate checks its flags before it
+reads the CSV, so a bad flag exits 2 whatever the file holds. All file
+output is written atomically (temp file in the target directory, then
+rename) and floats are printed as ``repr(float(x))`` prints them, the
+shortest decimal that round-trips, so re-reading a produced CSV recovers
+the exact binary values. CSV floats get those bytes from the vectorized
+formatter in ``_floatfmt``, a block of rows at a time, not from one
+``repr`` call per value.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _floatfmt
 from .differentiate import Baseline, regularized_derivative
 from .errors import (
     AlphaTooSmall,
@@ -107,15 +112,49 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _csv_text(header: list[str] | None, columns: list) -> str:
-    # repr of a Python float is what ``fmt`` prints; tolist() makes the
-    # floats in one C loop instead of one numpy scalar per value. A column
-    # that is a list holds its strings already: a grid printed once for many
-    # files, or integers. With header None only the rows are printed, as a
-    # block of a longer CSV.
-    cells = [col if isinstance(col, list) else map(repr, np.asarray(col, dtype=float).tolist())
-             for col in columns]
-    rows = map(",".join, zip(*cells))
-    return "\n".join(rows if header is None else [",".join(header), *rows]) + "\n"
+    # Each value prints as ``fmt`` prints it. A column that is a list holds
+    # its strings already: a grid printed once for many files, or integers.
+    # With header None only the rows are printed, as a block of a longer CSV.
+    # The rows are laid out as one NUL-padded byte matrix, each cell followed
+    # by ',' or '\n', and dropping the NULs leaves the text.
+    rows = min(map(len, columns), default=0)
+    if not rows:
+        return ("" if header is None else ",".join(header)) + "\n"
+    m = _csv_matrix(columns, rows)
+    text = m[m != 0].tobytes().decode("ascii")
+    return text if header is None else ",".join(header) + "\n" + text
+
+
+def _csv_matrix(columns: list, rows: int) -> np.ndarray:
+    """The first ``rows`` rows of ``columns`` as NUL-padded cells and separators."""
+    numeric = [np.asarray(col, dtype=float)[:rows] for col in columns
+               if not isinstance(col, list)]
+    formatted = _floatfmt.cells(numeric)
+    cells = []  # (rows, width) strings, or (WIDTH, rows) slots of floats and those used
+    for col in columns:
+        if isinstance(col, list):
+            cells.append((np.array(col[:rows], dtype="S").view(np.uint8).reshape(rows, -1),
+                          None))
+        else:
+            slots = formatted[:, :rows]
+            formatted = formatted[:, rows:]
+            cells.append((slots, slots.any(axis=1)))  # a slot no value fills is left out
+    widths = [cell.shape[1] if used is None else int(used.sum()) for cell, used in cells]
+    m = np.zeros((rows, sum(widths) + len(widths)), np.uint8)
+    end = 0
+    for (cell, used), width in zip(cells, widths):
+        m[:, end:end + width] = cell if used is None else cell[used].T
+        end += width + 1
+        m[:, end - 1] = ord(",")
+    m[:, -1] = ord("\n")
+    return m
+
+
+def _cut_rows(text: str, rows: int) -> list[str]:
+    """The ASCII CSV ``text`` cut into pieces of ``rows`` lines."""
+    ends = np.flatnonzero(np.frombuffer(text.encode("ascii"), np.uint8) == ord("\n"))
+    ends = (ends[rows - 1::rows] + 1).tolist()
+    return [text[start:end] for start, end in zip([0, *ends], ends)]
 
 
 def _write_csv(fh, header: list[str], columns: list) -> None:
@@ -218,21 +257,7 @@ def _fail(message: str, code: int) -> int:
 
 
 def _cmd_differentiate(args) -> int:
-    try:
-        header, data = read_csv_columns(args.input)
-    except _CsvError as exc:
-        return _fail(f"malformed CSV: {exc}", EXIT_USAGE)
-    if header != ["t", "y"]:
-        return _fail(f"expected header 't,y', got {','.join(header)!r}", EXIT_USAGE)
-    if data.shape[0] < 2:
-        return _fail("need at least two samples", EXIT_USAGE)
-    t, y = data[:, 0], data[:, 1]
-    n = t.size
-    h = (t[-1] - t[0]) / (n - 1)
-    spacing = np.diff(t)
-    if h <= 0.0 or np.any(spacing <= 0.0) or np.max(np.abs(spacing - h)) > 1e-9 * h:
-        return _fail("t must be strictly increasing with uniform spacing", EXIT_GRID)
-
+    # The flags need nothing from the file: check them before reading it.
     if not 0.0 <= args.delta < math.inf:
         return _fail(f"--delta must be a finite number >= 0, got {args.delta}", EXIT_USAGE)
     for flag, value in (("--alpha", args.alpha), ("--window", args.window)):
@@ -256,6 +281,21 @@ def _cmd_differentiate(args) -> int:
         if not (math.isfinite(baseline.c) and math.isfinite(baseline.d)):
             return _fail(f"--baseline anchors must be finite, got {args.baseline!r}",
                          EXIT_USAGE)
+
+    try:
+        header, data = read_csv_columns(args.input)
+    except _CsvError as exc:
+        return _fail(f"malformed CSV: {exc}", EXIT_USAGE)
+    if header != ["t", "y"]:
+        return _fail(f"expected header 't,y', got {','.join(header)!r}", EXIT_USAGE)
+    if data.shape[0] < 2:
+        return _fail("need at least two samples", EXIT_USAGE)
+    t, y = data[:, 0], data[:, 1]
+    n = t.size
+    h = (t[-1] - t[0]) / (n - 1)
+    spacing = np.diff(t)
+    if h <= 0.0 or np.any(spacing <= 0.0) or np.max(np.abs(spacing - h)) > 1e-9 * h:
+        return _fail("t must be strictly increasing with uniform spacing", EXIT_GRID)
 
     try:
         with warnings.catch_warnings(record=True) as caught:
@@ -381,12 +421,19 @@ def _cmd_experiment(args) -> int:
     for message in dict.fromkeys(str(w.message) for w in caught):
         print(f"warning: {message}", file=sys.stderr)
 
-    # every run and the plot share the example's grid: print it once
+    # Every run and the plot share the example's grid: print it once. Each
+    # text has a fixed formatting cost, so the runs' rows are printed about
+    # CSV_BLOCK_ROWS at a time, several runs to one text cut into their files.
     grid = list(map(repr, rows[0].reports[0].derivative.t.tolist()))
-    for row in rows:
-        for rep in row.reports:
-            name = f"example{args.example}_delta{fmt(row.delta)}_seed{rep.seed}.csv"
-            _atomic_write(outdir / name, _csv_text(["t", "dy"], [grid, rep.derivative.values]))
+    runs = [(row.delta, rep) for row in rows for rep in row.reports]
+    per_text = max(1, CSV_BLOCK_ROWS // len(grid))
+    for start in range(0, len(runs), per_text):
+        batch = runs[start:start + per_text]
+        text = _csv_text(None, [grid * len(batch),
+                                np.concatenate([rep.derivative.values for _, rep in batch])])
+        for (delta, rep), part in zip(batch, _cut_rows(text, len(grid))):
+            name = f"example{args.example}_delta{fmt(delta)}_seed{rep.seed}.csv"
+            _atomic_write(outdir / name, "t,dy\n" + part)
 
     header = ["delta", "alpha", "seed_count",
               "median_max_error_full", "median_max_error_interior"]

@@ -470,6 +470,30 @@ class TestDifferentiate:
                 main(["differentiate", str(linear_csv(tmp_path)), "--alpha", "0.1"])
 
 
+    @pytest.mark.parametrize("flags", [
+        ["--delta", "nan"], ["--delta", "-1", "--alpha", "0.5"], ["--alpha", "0"],
+        ["--alpha", "inf"], ["--alpha", "0.1", "--window", "-1"], ["--rule", "cube"],
+        ["--delta", "0.01", "--rule", "power:x"], [], ["--alpha", "0.1", "--baseline", "x"],
+        ["--alpha", "0.1", "--baseline", "nan,0"],
+    ])
+    def test_bad_flags_exit_2_before_the_file_is_read(self, tmp_path, monkeypatch, capsys,
+                                                       flags):
+        # [] leaves the rule with delta 0, which it cannot use
+        def unread(path):
+            raise AssertionError("the CSV was read")
+        monkeypatch.setattr(cli, "read_csv_columns", unread)
+        assert main(["differentiate", str(tmp_path / "missing.csv"), *flags]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_a_bad_flag_wins_over_a_bad_grid(self, tmp_path, capsys):
+        src = write_csv(tmp_path / "in.csv", np.array([0.0, 1.0, 3.0]), np.ones(3))
+        assert main(["differentiate", str(src), "--alpha", "0.1"]) == 3
+        capsys.readouterr()
+        assert main(["differentiate", str(src), "--delta", "nan"]) == 2
+        assert capsys.readouterr().err == \
+            "error: --delta must be a finite number >= 0, got nan\n"
+
+
 class TestSolve:
     def scalar_payload(self):
         return {
@@ -649,6 +673,17 @@ class TestExperiment:
         assert (outdir / "example2_plot.csv").read_text() == csv_by_value(
             ["t", "exact", "computed", "error"],
             [rep.derivative.t, exact, computed, np.abs(computed - exact)])
+
+    def test_run_files_longer_than_a_block_match_per_value_format(self, tmp_path):
+        # each run's file is then printed on its own, not several to a text
+        n = CSV_BLOCK_ROWS + 3
+        outdir = tmp_path / "runs"
+        assert main(["experiment", "--example", "1", "--deltas", "0.01", "--seeds", "2",
+                     "--seed", "8", "--n", str(n), "--out", str(outdir)]) == 0
+        for seed in (8, 9):
+            rep = run_experiment(1, 0.01, seed, n=n)
+            assert (outdir / f"example1_delta0.01_seed{seed}.csv").read_text() == \
+                csv_by_value(["t", "dy"], [rep.derivative.t, rep.derivative.values])
 
     def test_runs_are_bit_identical(self, tmp_path):
         d1, d2 = tmp_path / "one", tmp_path / "two"
@@ -1036,6 +1071,24 @@ class TestTopLevel:
         code = ("import sys, perturbreg.cli; "
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         assert run_in_fresh_interpreter(code).stdout == "[]\n"
+
+    def test_cli_import_builds_no_format_table_and_loads_no_new_module(self):
+        # The formatter's tables are built on first use, so a cold start that
+        # prints nothing does not pay for them; and it imports nothing beyond
+        # numpy and the standard modules the package used before it.
+        code = ("import sys\n"
+                "import __future__, argparse, contextlib, dataclasses, functools, json, math\n"
+                "import os, pathlib, re, tempfile, typing, warnings\n"
+                "import numpy\n"
+                "before = set(sys.modules)\n"
+                "import perturbreg.cli\n"
+                "from perturbreg import _floatfmt\n"
+                "print(sorted(m for m in set(sys.modules) - before\n"
+                "             if m.split('.')[0] != 'perturbreg'))\n"
+                "print(_floatfmt._QUAD_TABLES is None, int(_floatfmt._G_BUILT.sum()))\n"
+                "_floatfmt.cells([numpy.array([1.5, 2.5e10])])\n"
+                "print(int(_floatfmt._G_BUILT.sum()))\n")
+        assert run_in_fresh_interpreter(code).stdout == "[]\nTrue 0\n2\n"
 
     def test_seed_env_ignored_outside_experiment(self, tmp_path, monkeypatch):
         monkeypatch.setenv(SEED_ENV_VAR, "abc")
