@@ -32,9 +32,10 @@ import numpy as np
 _SIGN, _LEAD, _BODY, _EXP = 0, 1, 6, 24
 WIDTH = 29
 
-# Values per pass of the integer kernel: its temporaries stay in cache and
-# below half a megabyte.
-_CHUNK = 4096
+# Values per pass of the integer kernel: one block of a ``differentiate``
+# CSV (4096 rows of three columns) is one pass. The temporaries take about
+# 150 bytes a value, so a full pass peaks near 2.4 MB.
+_CHUNK = 16384
 _DIGITS = 17
 _K_MIN, _K_MAX = -324, 292  # decimal scales of the normal doubles
 

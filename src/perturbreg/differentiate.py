@@ -5,6 +5,12 @@ Differentiation is recast as an integral equation: the unknown derivative
 equation is solved in closed form by an exponential-kernel resolvent, which
 trades the unbounded noise amplification of finite differences for a
 controlled 1/alpha amplification plus an O(alpha) bias.
+
+One private core differentiates a stack of sample rows on one grid: a
+baseline fit per row, then detrending, the resolvent and the slope as array
+passes over the stack. ``regularized_derivative`` runs it on one row; a
+convergence study runs each noise level through it as one pass over its
+seeds.
 """
 
 from __future__ import annotations
@@ -68,6 +74,27 @@ def volterra_apply(x: GridFunction) -> GridFunction:
     return x.with_values(running_trapezoid(x.values, x.h))
 
 
+def _warn_unresolved(alpha: float, h: float, runs: int = 1) -> None:
+    """AlphaTooSmall once per run when alpha < h, from the caller's caller."""
+    if alpha < h:
+        for _ in range(runs):
+            warnings.warn(AlphaTooSmall(f"alpha={alpha:g} is below the grid spacing h={h:g}"),
+                          stacklevel=3)
+
+
+def _resolvent_rows(vals: np.ndarray, h: float, alpha: float) -> np.ndarray:
+    """``resolvent_apply`` of each row of vals, unchecked: the one kernel both callers share."""
+    r = math.exp(-h / alpha)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        panels = np.empty_like(vals)
+        panels[..., 0] = 0.0
+        panels[..., 1:] = 0.5 * h * (vals[..., 1:] + r * vals[..., :-1])
+        conv = first_order_scan(panels, r)
+        # numpy's scalar power is the libm pow behind alpha**2 too, but gives
+        # inf where the Python float raises OverflowError (alpha > ~1e154)
+        return vals / alpha - conv / np.float64(alpha) ** 2
+
+
 def resolvent_apply(g: GridFunction, alpha: float) -> GridFunction:
     """Apply the closed-form inverse of (integration + alpha * identity).
 
@@ -95,23 +122,8 @@ def resolvent_apply(g: GridFunction, alpha: float) -> GridFunction:
     """
     if alpha <= 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    h = g.h
-    if alpha < h:
-        warnings.warn(
-            AlphaTooSmall(f"alpha={alpha:g} is below the grid spacing h={h:g}"),
-            stacklevel=2,
-        )
-    vals = g.values
-    r = math.exp(-h / alpha)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        panels = np.empty_like(vals)
-        panels[0] = 0.0
-        panels[1:] = 0.5 * h * (vals[1:] + r * vals[:-1])
-        conv = first_order_scan(panels, r)
-        # numpy's scalar power is the libm pow behind alpha**2 too, but gives
-        # inf where the Python float raises OverflowError (alpha > ~1e154)
-        out = vals / alpha - conv / np.float64(alpha) ** 2
-    return g.with_values(_finite(out, "the resolvent output"))
+    _warn_unresolved(alpha, g.h)
+    return g.with_values(_finite(_resolvent_rows(g.values, g.h, alpha), "the resolvent output"))
 
 
 def resolvent_norm_bound(alpha: float, a: float, b: float) -> float:
@@ -121,6 +133,20 @@ def resolvent_norm_bound(alpha: float, a: float, b: float) -> float:
     if not b > a:
         raise ValueError(f"empty interval [{a}, {b}]")
     return (2.0 - math.exp(-(b - a) / alpha)) / alpha
+
+
+def _fit_baselines(values: np.ndarray, t: np.ndarray, a: float, h: float,
+                   window_width: float) -> list[Baseline]:
+    """``estimate_baseline`` of each row of values, one polyfit call per row."""
+    if window_width <= 0.0:
+        raise ValueError(f"window width must be positive, got {window_width}")
+    mask = (t - a) <= window_width + 1e-9 * h
+    m = int(np.count_nonzero(mask))
+    if m < 2:
+        raise WindowTooNarrow(f"window {window_width:g} holds {m} sample(s), need at least 2")
+    fits = [np.polynomial.polynomial.polyfit(t[mask] - a, row, 1) for row in values[:, mask]]
+    return [Baseline(c=float(c), d=float(d), source="auto", window_width=float(window_width))
+            for c, d in fits]
 
 
 def estimate_baseline(y: GridFunction, window_width: float) -> Baseline:
@@ -136,16 +162,49 @@ def estimate_baseline(y: GridFunction, window_width: float) -> Baseline:
     WindowTooNarrow
         If the window holds fewer than two samples.
     """
-    if window_width <= 0.0:
-        raise ValueError(f"window width must be positive, got {window_width}")
-    t = y.t
-    mask = (t - y.a) <= window_width + 1e-9 * y.h
-    m = int(np.count_nonzero(mask))
-    if m < 2:
-        raise WindowTooNarrow(f"window {window_width:g} holds {m} sample(s), need at least 2")
-    coeffs = np.polynomial.polynomial.polyfit(t[mask] - y.a, y.values[mask], 1)
-    return Baseline(c=float(coeffs[0]), d=float(coeffs[1]), source="auto",
-                    window_width=float(window_width))
+    return _fit_baselines(y.values[None], y.t, y.a, y.h, window_width)[0]
+
+
+def _derivative_rows(values: np.ndarray, a: float, b: float, alpha: float,
+                     baseline: Baseline | None = None, window: float | None = None,
+                     ) -> tuple[list[Baseline], np.ndarray, np.ndarray, np.ndarray]:
+    """``regularized_derivative`` of each row of values (S, n), in one array pass.
+
+    Every row gets its own baseline fit and exactly the bits a one-row call
+    gives. Returns the baselines and the stacks of detrended samples, x_alpha
+    and derivatives, unchecked: ``_checked`` then raises and warns as that
+    call would.
+    """
+    if alpha <= 0.0:
+        raise ValueError(f"alpha must be positive, got {alpha}")
+    h = (b - a) / (values.shape[-1] - 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = np.linspace(a, b, values.shape[-1])
+        if baseline is None:
+            # 2h is inf on a grid wider than half the float64 range; the
+            # window then holds every sample, as it should.
+            width = window if window is not None else max(2.0 * h, alpha)
+            baselines = _fit_baselines(values, t, a, h, width)
+        else:
+            baselines = [baseline] * len(values)
+        c = np.array([[bl.c] for bl in baselines], dtype=float)
+        d = np.array([[bl.d] for bl in baselines], dtype=float)
+        detrended = values - c - d * (t - a)
+        x_alpha = _resolvent_rows(detrended, h, alpha)
+        return baselines, detrended, x_alpha, x_alpha + d
+
+
+def _checked(detrended: np.ndarray, x_alpha: np.ndarray, derivative: np.ndarray,
+             alpha: float, h: float) -> None:
+    """Raise SampleOverflow at the first stack that left the float64 range; warn between.
+
+    AlphaTooSmall comes once per row, after the detrended samples passed,
+    before the resolvent output is checked: where a one-row call warns.
+    """
+    _finite(detrended, "the detrended samples")
+    _warn_unresolved(alpha, h, len(x_alpha))
+    _finite(x_alpha, "the resolvent output")
+    _finite(derivative, "the derivative")
 
 
 def regularized_derivative(y_tilde: GridFunction, alpha: float,
@@ -182,22 +241,13 @@ def regularized_derivative(y_tilde: GridFunction, alpha: float,
         When the detrended samples, the resolvent output or the derivative
         leave the float64 range (finite samples near +-1.8e308 can).
     """
-    if alpha <= 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        if baseline is None:
-            # 2h is inf on a grid wider than half the float64 range; the
-            # window then holds every sample, as it should.
-            width = window if window is not None else max(2.0 * y_tilde.h, alpha)
-            baseline = estimate_baseline(y_tilde, width)
-        detrended = _finite(y_tilde.values - baseline.c - baseline.d * (y_tilde.t - y_tilde.a),
-                            "the detrended samples")
-        x_alpha = resolvent_apply(y_tilde.with_values(detrended), alpha)
-        derivative = x_alpha.with_values(_finite(x_alpha.values + baseline.d, "the derivative"))
+    baselines, detrended, x_alpha, derivative = _derivative_rows(
+        y_tilde.values[None], y_tilde.a, y_tilde.b, alpha, baseline, window)
+    _checked(detrended, x_alpha, derivative, alpha, y_tilde.h)
     return DerivativeResult(
-        x_alpha=x_alpha,
-        derivative=derivative,
+        x_alpha=y_tilde.with_values(x_alpha[0]),
+        derivative=y_tilde.with_values(derivative[0]),
         alpha=alpha,
-        baseline=baseline,
+        baseline=baselines[0],
         boundary_layer_width=3.0 * alpha,
     )

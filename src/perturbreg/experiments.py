@@ -5,6 +5,11 @@ checks: differentiate noisy samples, compare against the exact derivative,
 and watch the error fall as the noise level does. Errors are reported both
 over the full interval and with the startup layer [a, a + 3*alpha] excluded,
 because the boundary bias and the noise response scale differently.
+
+A convergence study samples the function and its derivative once, draws
+each seed's unit noise once, and runs each noise level as one array pass
+over its seeds; every run keeps the bits, the error and the warning it gets
+alone from ``run_experiment``.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .differentiate import regularized_derivative
+from .differentiate import _checked, _derivative_rows
 from .errors import SampleOverflow, UnknownExample
 from .grid import GridFunction
 from .solve import SqrtDelta, coordinate_alpha
@@ -113,6 +118,12 @@ def example_interval(example_id: int) -> tuple[float, float]:
     return ex.a, ex.b
 
 
+def _unit_noise(seeds: Sequence[int], distribution: str, n: int) -> np.ndarray:
+    """One row per seed: the unit draw that delta scales into its noise."""
+    draw = _UNIT_DRAWS[distribution]
+    return np.array([draw(np.random.default_rng(seed), n) for seed in seeds])
+
+
 def add_noise(y: GridFunction, spec: NoiseSpec) -> GridFunction:
     """Add delta-scaled unit noise of ``spec.distribution`` from the seeded generator.
 
@@ -122,8 +133,7 @@ def add_noise(y: GridFunction, spec: NoiseSpec) -> GridFunction:
     ||f~ - f||_inf <= delta. Raises SampleOverflow when a noisy sample
     leaves the float64 range (delta near 1.8e308 can).
     """
-    rng = np.random.default_rng(spec.seed)
-    unit = _UNIT_DRAWS[spec.distribution](rng, y.n)
+    unit = _unit_noise([spec.seed], spec.distribution, y.n)[0]
     with np.errstate(over="ignore", invalid="ignore"):
         noisy = y.values + spec.delta * unit
     if not np.isfinite(noisy).all():
@@ -146,6 +156,40 @@ class ExperimentReport:
     exact_derivative: GridFunction
 
 
+def _sample(example_id: int, n: int) -> tuple[GridFunction, GridFunction]:
+    """A benchmark function and its exact derivative on n uniform points."""
+    ex = EXAMPLES[example_id]
+    return GridFunction.sample(ex.y, ex.a, ex.b, n), GridFunction.sample(ex.dy, ex.a, ex.b, n)
+
+
+def _runs(example_id: int, n: int, delta: float, alpha: float, seeds: Sequence[int],
+          units: np.ndarray, y: GridFunction, exact: GridFunction) -> list[ExperimentReport]:
+    """One report per seed: the rows y + delta * units differentiated as one stack.
+
+    Every row gets the bits of a lone run. Should any run leave the float64
+    range, the seeds run again one at a time, so that the first such run
+    raises after only the runs before it warned, as in a loop of lone runs.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        noisy = y.values + delta * units
+    stacks = _derivative_rows(noisy, y.a, y.b, alpha) if np.isfinite(noisy).all() else None
+    if len(seeds) > 1 and (stacks is None or not all(np.isfinite(s).all() for s in stacks[1:])):
+        return [report for i, seed in enumerate(seeds)
+                for report in _runs(example_id, n, delta, alpha, [seed], units[i:i + 1], y, exact)]
+    if stacks is None:
+        raise SampleOverflow("the noisy samples left the float64 range")
+    _, detrended, x_alpha, derivative = stacks
+    _checked(detrended, x_alpha, derivative, alpha, y.h)
+    err = np.abs(derivative - exact.values)
+    interior = y.t > y.a + 3.0 * alpha  # past the startup layer
+    full = err.max(axis=1).tolist()
+    inner = err[:, interior].max(axis=1).tolist() if interior.any() else [math.nan] * len(seeds)
+    return [ExperimentReport(example_id=example_id, n=n, delta=delta, alpha=alpha, seed=seed,
+                             max_error_full=full[i], max_error_interior=inner[i],
+                             derivative=y.with_values(derivative[i]), exact_derivative=exact)
+            for i, seed in enumerate(seeds)]
+
+
 def run_experiment(example_id: int, delta: float, seed: int, n: int = 512,
                    alpha: float | None = None,
                    distribution: str = "gaussian_unit") -> ExperimentReport:
@@ -160,27 +204,13 @@ def run_experiment(example_id: int, delta: float, seed: int, n: int = 512,
     (see NoiseSpec); pass "uniform_bounded" for noise that meets the paper's
     hypothesis ||f~ - f||_inf <= delta.
     """
-    a, b = example_interval(example_id)
+    example_interval(example_id)  # UnknownExample comes first
     if alpha is None:
         alpha = coordinate_alpha(delta, SqrtDelta())
-    ex = EXAMPLES[example_id]
-    y = GridFunction.sample(ex.y, a, b, n)
-    noisy = add_noise(y, NoiseSpec(delta=delta, seed=seed, distribution=distribution))
-    result = regularized_derivative(noisy, alpha)
-    exact = GridFunction.sample(ex.dy, a, b, n)
-    err = np.abs(result.derivative.values - exact.values)
-    interior = y.t > a + result.boundary_layer_width
-    return ExperimentReport(
-        example_id=example_id,
-        n=n,
-        delta=delta,
-        alpha=alpha,
-        seed=seed,
-        max_error_full=float(np.max(err)),
-        max_error_interior=float(np.max(err[interior])) if interior.any() else float("nan"),
-        derivative=result.derivative,
-        exact_derivative=exact,
-    )
+    y, exact = _sample(example_id, n)
+    spec = NoiseSpec(delta=delta, seed=seed, distribution=distribution)
+    units = _unit_noise([spec.seed], spec.distribution, n)
+    return _runs(example_id, n, delta, alpha, [seed], units, y, exact)[0]
 
 
 @dataclass(frozen=True)
@@ -236,12 +266,23 @@ def convergence_study(example_id: int, deltas: Sequence[float], seeds: Sequence[
         raise ValueError("need at least one delta")
     if not seeds:
         raise ValueError("need at least one seed")
+    if min(seeds) < 0:
+        # A lone run rejects a negative seed only after the runs before it,
+        # any of which can fail first: make them. The negative seed raises.
+        for seed in seeds:
+            run_experiment(example_id, deltas[0], seed, n=n)
+    # a lone run's checks, in its order, before anything is sampled
+    example_interval(example_id)
+    coordinate_alpha(deltas[0], SqrtDelta())
+    y, exact = _sample(example_id, n)
+    units = _unit_noise(seeds, "gaussian_unit", n)
     rows = []
     for delta in deltas:
-        reports = [run_experiment(example_id, delta, seed, n=n) for seed in seeds]
+        alpha = coordinate_alpha(delta, SqrtDelta())
+        reports = _runs(example_id, n, delta, alpha, seeds, units, y, exact)
         rows.append(StudyRow(
             delta=delta,
-            alpha=reports[0].alpha,
+            alpha=alpha,
             seed_count=len(seeds),
             median_max_error_full=_median([r.max_error_full for r in reports]),
             median_max_error_interior=_median([r.max_error_interior for r in reports]),

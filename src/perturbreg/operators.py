@@ -47,19 +47,23 @@ def first_order_scan(u: np.ndarray, r: float) -> np.ndarray:
     r^(j-m). The value at each block end then carries into the next block as
     r^(j+1) * carry; the carries obey the same recurrence with ratio r^64, so
     the same scan solves them, one level up.
+
+    u may be a stack of rows, scanned along its last axis. numpy multiplies
+    each row's blocks by the power matrix in a product of their own, so
+    every row gets the bits a scan of that row alone gives.
     """
     u = np.asarray(u, dtype=float)
-    n = u.size
+    lead, n = u.shape[:-1], u.shape[-1]
     blocks = -(-n // _SCAN_BLOCK)
-    padded = np.zeros((blocks, _SCAN_BLOCK))
-    padded.reshape(-1)[:n] = u
+    padded = np.zeros(lead + (blocks, _SCAN_BLOCK))
+    padded.reshape(lead + (-1,))[..., :n] = u
     pw = r ** np.arange(_SCAN_BLOCK + 2)
     pw[-1] = 0.0
     w = padded @ pw[_SCAN_LAGS].T
     if blocks > 1:
-        carry = first_order_scan(w[:, -1], pw[_SCAN_BLOCK])
-        w[1:] += carry[:-1, None] * pw[1:-1]
-    return w.reshape(-1)[:n]
+        carry = first_order_scan(w[..., -1], pw[_SCAN_BLOCK])
+        w[..., 1:, :] += carry[..., :-1, None] * pw[1:-1]
+    return w.reshape(lead + (-1,))[..., :n]
 
 
 def cumulative_trapezoid_matrix(n: int, h: float) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Tests for the benchmark functions, noise model, and study runner."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -221,6 +222,57 @@ class TestConvergenceStudy:
                 np.testing.assert_array_equal(rep.derivative.values, ref.derivative.values)
                 np.testing.assert_array_equal(rep.exact_derivative.values,
                                               ref.exact_derivative.values)
+
+    @pytest.mark.filterwarnings("ignore::perturbreg.AlphaTooSmall")  # at n = 65
+    @pytest.mark.parametrize("example_id", [1, 2])
+    @pytest.mark.parametrize("n", [65, 512])
+    def test_every_run_matches_run_experiment_bit_for_bit(self, example_id, n):
+        deltas, seeds = [0.1, 0.01, 0.001], list(range(30, 51))
+        rows = convergence_study(example_id, deltas, seeds, n=n)
+        for row, delta in zip(rows, deltas):
+            refs = [run_experiment(example_id, delta, seed, n=n) for seed in seeds]
+            assert [_bits(r.max_error_full) for r in row.reports] == \
+                [_bits(r.max_error_full) for r in refs]
+            assert [_bits(r.max_error_interior) for r in row.reports] == \
+                [_bits(r.max_error_interior) for r in refs]
+            assert _bits(row.median_max_error_full) == \
+                _bits(_median([r.max_error_full for r in refs]))
+            assert _bits(row.median_max_error_interior) == \
+                _bits(_median([r.max_error_interior for r in refs]))
+            for rep, ref in zip(row.reports, refs):
+                assert (rep.seed, rep.n, rep.delta, rep.alpha) == \
+                    (ref.seed, ref.n, ref.delta, ref.alpha)
+                assert rep.derivative.values.tobytes() == ref.derivative.values.tobytes()
+                assert rep.exact_derivative.values.tobytes() == \
+                    ref.exact_derivative.values.tobytes()
+
+    def test_alpha_too_small_once_per_run(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            convergence_study(1, [0.01, 0.001], [1, 2, 3], n=16)  # alpha < h = 0.2
+        assert [type(w.message) for w in caught] == [AlphaTooSmall] * 6
+
+    @pytest.mark.parametrize("deltas, seeds, n", [
+        ([0.2, 5e307], list(range(12)), 3),  # a later seed overflows after detrending
+        ([0.2, 1e308], list(range(12)), 4),
+        ([1e308], [0, 1], 512),  # the first seed overflows at once
+        ([1e308], [0, -1], 512),  # the overflow comes before the bad seed
+        ([0.01, 1e308], [0, -1], 16),  # a bad seed, after the runs before it
+    ])
+    def test_failing_study_raises_and_warns_as_lone_runs(self, deltas, seeds, n):
+        def outcome(study):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with pytest.raises(Exception) as raised:
+                    study()
+            return type(raised.value), str(raised.value), [str(w.message) for w in caught]
+
+        def lone_runs():
+            for delta in deltas:
+                for seed in seeds:
+                    run_experiment(1, delta, seed, n=n)
+
+        assert outcome(lambda: convergence_study(1, deltas, seeds, n=n)) == outcome(lone_runs)
 
     def test_reports_take_no_part_in_row_equality(self):
         assert convergence_study(1, [0.1], [1], n=64) == convergence_study(1, [0.1], [1], n=64)

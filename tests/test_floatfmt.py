@@ -119,3 +119,19 @@ class TestCells:
         assert calls == [12]
         texts = [bytes(col[col != 0]).decode() for col in out.T]
         assert texts == [repr(v) for col in columns for v in col.tolist()]
+
+    def test_chunk_boundary_inside_a_column(self, monkeypatch):
+        # columns of _CHUNK // 2 + 1 rows: the first pass ends inside the
+        # second column, and the second pass starts there and spans two
+        calls = []
+        layout = _floatfmt._layout
+        monkeypatch.setattr(_floatfmt, "_layout", lambda out, bits: calls.append(bits.size)
+                            or layout(out, bits))
+        rows = _floatfmt._CHUNK // 2 + 1
+        rng = np.random.default_rng(11)
+        columns = [rng.standard_normal(rows), np.exp(30.0 * rng.standard_normal(rows)),
+                   np.linspace(0.0, 3.0, rows)]
+        out = _floatfmt.cells(columns)
+        assert calls == [_floatfmt._CHUNK, 3 * rows - _floatfmt._CHUNK]
+        texts = [bytes(col[col != 0]).decode() for col in out.T]
+        assert texts == [repr(v) for col in columns for v in col.tolist()]

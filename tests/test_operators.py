@@ -100,6 +100,17 @@ class TestFirstOrderScan:
     def test_empty_input(self):
         assert first_order_scan(np.zeros(0), 0.5).shape == (0,)
 
+    # Sizes cover the block edges and the carry recursion (4097 > 64 * 64).
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 4097])
+    @pytest.mark.parametrize("rows", [1, 2, 21, 63])
+    def test_stack_rows_keep_their_lone_bits(self, rows, n):
+        u = np.random.default_rng(rows * n).standard_normal((rows, n))
+        for r in (0.3, 0.999999, -0.7):
+            got = first_order_scan(u, r)
+            assert got.shape == (rows, n)
+            lone = np.array([first_order_scan(row, r) for row in u])
+            np.testing.assert_array_equal(got.view(np.uint64), lone.view(np.uint64))
+
 
 class TestSolveShifted:
     @pytest.mark.parametrize("n", [2, 64, 1024])
