@@ -1,16 +1,19 @@
 """Stable differentiation of noisy uniform samples.
 
 Differentiation is recast as an integral equation: the unknown derivative
-(minus its left-endpoint value) integrates to the detrended data. That
-equation is solved in closed form by an exponential-kernel resolvent, which
-trades the unbounded noise amplification of finite differences for a
+(minus its left-endpoint value) integrates to the detrended data g. The
+stabilized equation (V + alpha I) x = g, V the running trapezoid integral,
+is solved on the grid by ``DiscreteOperator.solve_shifted``: the O(n)
+inverse behind ``solve``, ``sweep`` and the certificate c_alpha = 2/alpha.
+It trades the unbounded noise amplification of finite differences for a
 controlled 1/alpha amplification plus an O(alpha) bias.
 
 One private core differentiates a stack of sample rows on one grid: a
-baseline fit per row, then detrending, the resolvent and the slope as array
-passes over the stack. ``regularized_derivative`` runs it on one row; a
-convergence study runs each noise level through it as one pass over its
-seeds.
+baseline fit per row, then detrending, the shifted solve and the slope as
+array passes over the stack. ``regularized_derivative`` runs it on one row;
+a convergence study runs each noise level through it as one pass over its
+seeds. ``resolvent_apply``, the continuous kernel discretized to O(h^2),
+is only a reference.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 
 from .errors import AlphaTooSmall, SampleOverflow, WindowTooNarrow
 from .grid import GridFunction
-from .operators import first_order_scan, running_trapezoid
+from .operators import DiscreteOperator, first_order_scan, running_trapezoid
 
 
 @dataclass(frozen=True)
@@ -50,8 +53,9 @@ class Baseline:
 class DerivativeResult:
     """Smoothed derivative and the pieces it was assembled from.
 
-    ``derivative`` equals ``x_alpha`` shifted by the baseline slope at every
-    sample. The first ``boundary_layer_width = 3 * alpha`` of the interval
+    ``x_alpha`` solves (V + alpha I) x = detrended samples, V the running
+    trapezoid integral; ``derivative`` is ``x_alpha`` plus the baseline
+    slope. The first ``boundary_layer_width = 3 * alpha`` of the interval
     carries a systematic startup bias and is reported separately by the
     experiment harness.
     """
@@ -82,19 +86,6 @@ def _warn_unresolved(alpha: float, h: float, runs: int = 1) -> None:
                           stacklevel=3)
 
 
-def _resolvent_rows(vals: np.ndarray, h: float, alpha: float) -> np.ndarray:
-    """``resolvent_apply`` of each row of vals, unchecked: the one kernel both callers share."""
-    r = math.exp(-h / alpha)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        panels = np.empty_like(vals)
-        panels[..., 0] = 0.0
-        panels[..., 1:] = 0.5 * h * (vals[..., 1:] + r * vals[..., :-1])
-        conv = first_order_scan(panels, r)
-        # numpy's scalar power is the libm pow behind alpha**2 too, but gives
-        # inf where the Python float raises OverflowError (alpha > ~1e154)
-        return vals / alpha - conv / np.float64(alpha) ** 2
-
-
 def resolvent_apply(g: GridFunction, alpha: float) -> GridFunction:
     """Apply the closed-form inverse of (integration + alpha * identity).
 
@@ -107,7 +98,8 @@ def resolvent_apply(g: GridFunction, alpha: float) -> GridFunction:
 
     with r = exp(-h/alpha). ``first_order_scan`` evaluates it in O(n) numpy
     operations, in blocks, without a Python loop over the samples; it agrees
-    with the direct O(n^2) sum up to rounding.
+    with the direct O(n^2) sum up to rounding. This is the continuous-kernel
+    reference; ``regularized_derivative`` uses ``solve_shifted`` instead.
 
     Warns
     -----
@@ -123,7 +115,15 @@ def resolvent_apply(g: GridFunction, alpha: float) -> GridFunction:
     if alpha <= 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     _warn_unresolved(alpha, g.h)
-    return g.with_values(_finite(_resolvent_rows(g.values, g.h, alpha), "the resolvent output"))
+    h, vals = g.h, g.values
+    r = math.exp(-h / alpha)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        panels = np.concatenate(([0.0], 0.5 * h * (vals[1:] + r * vals[:-1])))
+        conv = first_order_scan(panels, r)
+        # numpy's scalar power is the libm pow behind alpha**2 too, but gives
+        # inf where the Python float raises OverflowError (alpha > ~1e154)
+        x = vals / alpha - conv / np.float64(alpha) ** 2
+    return g.with_values(_finite(x, "the resolvent output"))
 
 
 def resolvent_norm_bound(alpha: float, a: float, b: float) -> float:
@@ -177,20 +177,20 @@ def _derivative_rows(values: np.ndarray, a: float, b: float, alpha: float,
     """
     if alpha <= 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    h = (b - a) / (values.shape[-1] - 1)
+    op = DiscreteOperator.volterra(a, b, values.shape[-1])
     with np.errstate(over="ignore", invalid="ignore"):
-        t = np.linspace(a, b, values.shape[-1])
+        t = np.linspace(a, b, op.n)
         if baseline is None:
             # 2h is inf on a grid wider than half the float64 range; the
             # window then holds every sample, as it should.
-            width = window if window is not None else max(2.0 * h, alpha)
-            baselines = _fit_baselines(values, t, a, h, width)
+            width = window if window is not None else max(2.0 * op.h, alpha)
+            baselines = _fit_baselines(values, t, a, op.h, width)
         else:
             baselines = [baseline] * len(values)
         c = np.array([[bl.c] for bl in baselines], dtype=float)
         d = np.array([[bl.d] for bl in baselines], dtype=float)
         detrended = values - c - d * (t - a)
-        x_alpha = _resolvent_rows(detrended, h, alpha)
+        x_alpha = op.solve_shifted(alpha, detrended)
         return baselines, detrended, x_alpha, x_alpha + d
 
 
@@ -199,7 +199,7 @@ def _checked(detrended: np.ndarray, x_alpha: np.ndarray, derivative: np.ndarray,
     """Raise SampleOverflow at the first stack that left the float64 range; warn between.
 
     AlphaTooSmall comes once per row, after the detrended samples passed,
-    before the resolvent output is checked: where a one-row call warns.
+    before the solve's output is checked: where a one-row call warns.
     """
     _finite(detrended, "the detrended samples")
     _warn_unresolved(alpha, h, len(x_alpha))
@@ -210,13 +210,15 @@ def _checked(detrended: np.ndarray, x_alpha: np.ndarray, derivative: np.ndarray,
 def regularized_derivative(y_tilde: GridFunction, alpha: float,
                            baseline: Baseline | None = None,
                            window: float | None = None) -> DerivativeResult:
-    """Differentiate noisy uniform samples by resolvent smoothing.
+    """Differentiate noisy uniform samples by a stabilized running-integral solve.
 
     The data are detrended by the baseline (value and slope at the left
-    endpoint), pushed through ``resolvent_apply``, and the slope is added
-    back:
+    endpoint), the stabilized equation (V + alpha I) x = y - c - d*(t - a)
+    is solved on the sample grid by the trapezoid inverse
+    ``DiscreteOperator.solve_shifted`` (V the running trapezoid integral),
+    and the slope is added back:
 
-        derivative = resolvent_apply(y - c - d*(t - a), alpha) + d.
+        derivative = (V + alpha I)^-1 (y - c - d*(t - a)) + d.
 
     For exactly linear data the detrended samples vanish and the derivative
     is the constant d, independent of alpha.
@@ -235,10 +237,16 @@ def regularized_derivative(y_tilde: GridFunction, alpha: float,
         Fit window width for the automatic baseline; ignored when an
         explicit baseline is passed.
 
+    Warns
+    -----
+    AlphaTooSmall
+        When alpha < h; below h/2 the solve is barely stabilized, and its
+        result alternates in sign from sample to sample.
+
     Raises
     ------
     SampleOverflow
-        When the detrended samples, the resolvent output or the derivative
+        When the detrended samples, the solve's output or the derivative
         leave the float64 range (finite samples near +-1.8e308 can).
     """
     baselines, detrended, x_alpha, derivative = _derivative_rows(

@@ -148,20 +148,21 @@ class DiscreteOperator:
             x_i = r * x_{i-1} + (f_i - f_{i-1}) / (alpha + h/2),
             r = (alpha - h/2) / (alpha + h/2),
 
-        with |r| < 1 for every alpha > 0. The result is not checked for
-        overflow; a tiny alpha can return non-finite values.
+        with |r| < 1 for every alpha > 0. f may be a stack of rows; each gets
+        the bits a lone call gives. The result is not checked for overflow; a
+        tiny alpha can return non-finite values.
         """
         if not self.is_volterra:
             raise ValueError("solve_shifted needs the running-integral operator")
         if alpha <= 0.0:
             raise ValueError(f"alpha must be positive, got {alpha}")
-        f = np.asarray(f, dtype=float)
-        if f.size != self.n:
-            raise ValueError(f"operand size {f.size} does not match operator size {self.n}")
+        f = np.atleast_1d(np.asarray(f, dtype=float))
+        if f.shape[-1] != self.n:
+            raise ValueError(f"operand size {f.shape[-1]} does not match operator size {self.n}")
         half_h = 0.5 * self.h
-        u = np.empty(f.size)
-        u[0] = f[0] / alpha
-        u[1:] = np.diff(f) / (alpha + half_h)
+        u = np.empty(f.shape)
+        u[..., 0] = f[..., 0] / alpha
+        u[..., 1:] = np.diff(f, axis=-1) / (alpha + half_h)
         return first_order_scan(u, (alpha - half_h) / (alpha + half_h))
 
 
@@ -237,9 +238,3 @@ class Stabilizer:
             raise ValueError(f"stabilizer built for size {self.gammas.shape[1]}, asked for {n}")
         g = self.gammas if self.weights is None else self.gammas * self.weights
         return self.zs.T @ g
-
-    def norm_estimate(self, alpha: float, n: int) -> float:
-        """Operator-norm estimate d(alpha): |alpha| when scalar, else the 2-norm of B."""
-        if self.is_scalar:
-            return abs(alpha)
-        return float(np.linalg.norm(self.materialize(alpha, n), 2))

@@ -263,6 +263,8 @@ def load_problem(path) -> Problem:
     a, b = raw.get("interval", [0.0, 1.0])
     if not b > a:
         raise ProblemFormatError(f"interval [{a}, {b}] is empty")
+    if not math.isfinite(float(b) - float(a)):
+        raise ProblemFormatError(f"interval [{a}, {b}] is wider than the float64 range")
 
     if has_matrix:
         operator = DiscreteOperator.dense(_square_matrix(raw["matrix"], n, "matrix"))

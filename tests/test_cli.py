@@ -109,13 +109,18 @@ def volterra_payload(n=33):
     }
 
 
-def run_in_fresh_interpreter(code):
-    """Run ``code`` in a new interpreter with this checkout's package on the path."""
+def fresh_interpreter(*args, check=True, cwd=None):
+    """Run a new interpreter on ``args`` with this checkout's package on the path."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+    return subprocess.run([sys.executable, *args], env=env, check=check, cwd=cwd,
                           capture_output=True, text=True)
+
+
+def run_in_fresh_interpreter(code):
+    """Run ``code`` in a new interpreter with this checkout's package on the path."""
+    return fresh_interpreter("-c", code)
 
 
 class TestFloatFormat:
@@ -398,6 +403,14 @@ class TestDifferentiate:
         bad.write_text("t,y\n1.0,1.0\n0.5,2.0\n0.0,3.0\n")
         assert main(["differentiate", str(bad), "--alpha", "0.1"]) == 3
 
+    def test_interval_wider_than_float64_range_exits_2(self, tmp_path, capsys):
+        # h = inf would pass the spacing check, since inf > 1e-9 * inf is false
+        wide = tmp_path / "wide.csv"
+        wide.write_text("t,y\n-1e308,1\n0,2\n1e308,3\n")
+        assert main(["differentiate", str(wide), "--alpha", "0.1"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: t spans [-1e+308, 1e+308], wider than the float64 range\n")
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
     def test_non_finite_sample_rejected(self, tmp_path, capsys, value):
         bad = tmp_path / "bad.csv"
@@ -600,6 +613,13 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.startswith("error: schema violation at ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", [["solve"], ["sweep", "--alphas", "0.1"]])
+    def test_interval_wider_than_float64_range_exits_2(self, tmp_path, capsys, command):
+        path = write_json(tmp_path, dict(volterra_payload(n=3), interval=[-1e308, 1e308]))
+        assert main([command[0], str(path), *command[1:]]) == 2
+        assert capsys.readouterr() == (
+            "", "error: interval [-1e+308, 1e+308] is wider than the float64 range\n")
+
     def test_singular_system_exit_5(self, tmp_path):
         payload = {
             "matrix": [[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 2.0]],
@@ -783,39 +803,52 @@ class TestExperiment:
         assert main(["experiment", "--example", "1", "--n", "1", "--out", out]) == 2
         assert main(["experiment", "--example", "3", "--out", out]) == 2
 
-    def test_alpha_below_grid_spacing_exits_4(self, tmp_path, capsys):
-        # alpha = sqrt(1e-300) = 1e-150, far below h = 3/127 on example 1
+    def test_alpha_far_below_grid_spacing_warns_and_exits_0(self, tmp_path, capsys):
+        # alpha = sqrt(1e-300) = 1e-150, far below h = 3/127 on example 1: the
+        # trapezoid solve stays finite (|r| < 1) but is barely stabilized, so
+        # its errors are huge; the run says so in one warning line.
         outdir = tmp_path / "runs"
         code = main(["experiment", "--example", "1", "--deltas", "0.01,1e-300",
                      "--seeds", "2", "--n", "128", "--out", str(outdir)])
-        assert code == 4
+        assert code == 0
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            f"error: --deltas: delta=1e-300 gives alpha={fmt(1e-150)}, too far below the "
-            f"grid spacing h={fmt(3.0 / 127)}: exp(-h/alpha) is below double precision\n")
-        assert not outdir.exists()
+        assert captured.err == "warning: alpha=1e-150 is below the grid spacing h=0.023622\n"
+        assert sorted(p.name for p in outdir.iterdir()) == [
+            "example1_delta0.01_seed42.csv", "example1_delta0.01_seed43.csv",
+            "example1_delta1e-300_seed42.csv", "example1_delta1e-300_seed43.csv",
+            "example1_plot.csv", "example1_table.csv"]
+        assert captured.out == (outdir / "example1_table.csv").read_text()
+        _, rows = read_csv_columns(outdir / "example1_table.csv")
+        assert rows[1, 1] == 1e-150 and rows[1, 3] > 1e140
 
     def test_alpha_check_uses_the_example_grid(self, tmp_path, capsys):
-        # alpha = 8e-4 at n = 129: exp(-h/alpha) is 2e-13 on example 1's
-        # [0, 3] (h = 3/128) and 6e-22 on example 2's [0, 5] (h = 5/128)
+        # alpha = 8e-4 at n = 129 lies below h on example 1's [0, 3]
+        # (h = 3/128) and on example 2's [0, 5] (h = 5/128)
         argv = ["--deltas", "6.4e-7", "--seeds", "1", "--n", "129"]
-        assert main(["experiment", "--example", "1", *argv,
-                     "--out", str(tmp_path / "one")]) == 0
-        assert capsys.readouterr().err == \
-            "warning: alpha=0.0008 is below the grid spacing h=0.0234375\n"
-        assert main(["experiment", "--example", "2", *argv,
-                     "--out", str(tmp_path / "two")]) == 4
+        for example, h in (("1", "0.0234375"), ("2", "0.0390625")):
+            outdir = tmp_path / example
+            assert main(["experiment", "--example", example, *argv,
+                         "--out", str(outdir)]) == 0
+            assert capsys.readouterr().err == \
+                f"warning: alpha=0.0008 is below the grid spacing h={h}\n"
+            assert len(list(outdir.iterdir())) == 3
 
     def test_alpha_check_threshold(self, tmp_path, capsys):
-        # h/alpha = 36 passes (exp(-36) = 2.3e-16 > eps = 2.2e-16); 37 does not
+        # h/alpha = 37 and 36 both warn and run: no cut below the grid
+        # spacing; alpha just above h does not warn
         h = 3.0 / 127
         argv = ["experiment", "--example", "1", "--seeds", "1", "--n", "128"]
-        assert main([*argv, "--deltas", repr((h / 37) ** 2), "--out", str(tmp_path / "a")]) == 4
-        capsys.readouterr()
-        assert main([*argv, "--deltas", repr((h / 36) ** 2),
-                     "--out", str(tmp_path / "b")]) == 0
-        assert capsys.readouterr().err.startswith("warning: alpha=")
+        for ratio in (37, 36):
+            outdir = tmp_path / str(ratio)
+            assert main([*argv, "--deltas", repr((h / ratio) ** 2), "--out", str(outdir)]) == 0
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1
+            assert err.startswith("warning: alpha=")
+            assert err.endswith(" is below the grid spacing h=0.023622\n")
+            assert len(list(outdir.iterdir())) == 3
+        assert main([*argv, "--deltas", repr((1.01 * h) ** 2),
+                     "--out", str(tmp_path / "above")]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_small_alpha_warning_lines(self, tmp_path):
         # A fresh interpreter, so Python's default warning printer would show
@@ -1089,6 +1122,19 @@ class TestTopLevel:
                 "_floatfmt.cells([numpy.array([1.5, 2.5e10])])\n"
                 "print(int(_floatfmt._G_BUILT.sum()))\n")
         assert run_in_fresh_interpreter(code).stdout == "[]\nTrue 0\n2\n"
+
+    def test_module_runs_the_cli(self, tmp_path):
+        proc = fresh_interpreter("-m", "perturbreg.cli", "--bogus", check=False)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert len([ln for ln in proc.stderr.splitlines() if "error:" in ln]) == 1
+        assert "Traceback" not in proc.stderr
+        src = linear_csv(tmp_path)
+        proc = fresh_interpreter("-m", "perturbreg.cli", "differentiate", str(src),
+                                 "--alpha", "0.1", "--out", "d.csv", cwd=tmp_path)
+        assert proc.stdout == ""
+        assert main(["differentiate", str(src), "--alpha", "0.1",
+                     "--out", str(tmp_path / "ref.csv")]) == 0
+        assert (tmp_path / "d.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def test_seed_env_ignored_outside_experiment(self, tmp_path, monkeypatch):
         monkeypatch.setenv(SEED_ENV_VAR, "abc")

@@ -8,14 +8,18 @@ import pytest
 
 from perturbreg import (
     AlphaTooSmall,
+    DiscreteOperator,
     GridFunction,
+    NoiseSpec,
     SampleOverflow,
     WindowTooNarrow,
+    add_noise,
     regularized_derivative,
     resolvent_apply,
     volterra_apply,
 )
 from perturbreg.differentiate import Baseline, estimate_baseline, resolvent_norm_bound
+from perturbreg.experiments import example_function, example_interval
 
 
 def direct_resolvent(g: GridFunction, alpha: float) -> np.ndarray:
@@ -300,6 +304,22 @@ class TestRegularizedDerivative:
         y = GridFunction(0.0, 1.0, np.zeros(11))
         with pytest.raises(ValueError):
             regularized_derivative(y, -0.1)
+
+    # One kernel: x_alpha is the running integral's shifted solve, bit for bit.
+    @pytest.mark.filterwarnings("ignore::perturbreg.AlphaTooSmall")
+    @pytest.mark.parametrize("alpha_of_h", [lambda h: h / 4, lambda h: h, lambda h: 0.1],
+                             ids=["h/4", "h", "0.1"])
+    @pytest.mark.parametrize("n", [16, 65, 512])
+    @pytest.mark.parametrize("example_id", [1, 2])
+    def test_x_alpha_is_the_shifted_running_integral_solve(self, example_id, n, alpha_of_h):
+        a, b = example_interval(example_id)
+        clean = GridFunction.sample(lambda t: example_function(example_id, t)[0], a, b, n)
+        y = add_noise(clean, NoiseSpec(0.01, seed=n, distribution="uniform_bounded"))
+        alpha = alpha_of_h(y.h)
+        res = regularized_derivative(y, alpha)
+        detrended = y.values - res.baseline.c - res.baseline.d * (y.t - a)
+        expect = DiscreteOperator.volterra(a, b, n).solve_shifted(alpha, detrended)
+        assert res.x_alpha.values.tobytes() == expect.tobytes()
 
 
 class TestFloat64Range:

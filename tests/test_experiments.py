@@ -8,6 +8,7 @@ import pytest
 
 from perturbreg import (
     AlphaTooSmall,
+    DiscreteOperator,
     GridFunction,
     NoiseSpec,
     UnknownExample,
@@ -15,6 +16,7 @@ from perturbreg import (
     convergence_study,
     run_experiment,
 )
+from perturbreg.differentiate import estimate_baseline
 from perturbreg.experiments import _median, example_function, example_interval
 
 
@@ -245,6 +247,24 @@ class TestConvergenceStudy:
                 assert rep.derivative.values.tobytes() == ref.derivative.values.tobytes()
                 assert rep.exact_derivative.values.tobytes() == \
                     ref.exact_derivative.values.tobytes()
+
+    # One kernel: every run is the running integral's shifted solve plus the
+    # baseline slope, bit for bit; alpha is h/4, h and 0.1.
+    @pytest.mark.filterwarnings("ignore::perturbreg.AlphaTooSmall")
+    @pytest.mark.parametrize("n", [16, 65, 512])
+    @pytest.mark.parametrize("example_id", [1, 2])
+    def test_every_run_is_the_shifted_running_integral_solve(self, example_id, n):
+        a, b = example_interval(example_id)
+        h = (b - a) / (n - 1)
+        clean = GridFunction.sample(lambda t: example_function(example_id, t)[0], a, b, n)
+        op = DiscreteOperator.volterra(a, b, n)
+        for row in convergence_study(example_id, [(h / 4) ** 2, h**2, 0.01], [3, 4, 5], n=n):
+            for rep in row.reports:
+                y = add_noise(clean, NoiseSpec(row.delta, rep.seed))
+                bl = estimate_baseline(y, max(2.0 * h, row.alpha))
+                detrended = y.values - bl.c - bl.d * (y.t - a)
+                expect = op.solve_shifted(row.alpha, detrended) + bl.d
+                assert rep.derivative.values.tobytes() == expect.tobytes()
 
     def test_alpha_too_small_once_per_run(self):
         with warnings.catch_warnings(record=True) as caught:

@@ -271,6 +271,19 @@ class TestRejections:
         with pytest.raises(ProblemFormatError):
             load_problem(write_problem(tmp_path, payload))
 
+    @pytest.mark.parametrize("interval", [[-1e308, 1e308], [-10**308, 10**308]])
+    def test_interval_wider_than_float64_range(self, tmp_path, interval):
+        payload = {
+            "operator": "volterra",
+            "interval": interval,
+            "rhs": [0.0, 0.0],
+            "stabilizer": {"scalar_alpha": {}},
+            "delta": 0.0,
+            "alpha": 0.1,
+        }
+        with pytest.raises(ProblemFormatError, match="is wider than the float64 range$"):
+            load_problem(write_problem(tmp_path, payload))
+
     def test_single_point_integral_operator(self, tmp_path):
         payload = {
             "operator": "volterra",
