@@ -475,7 +475,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="perturbreg",
         description="Stabilized solves and stable differentiation for noisy "
                     "first-kind operator equations.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # Not required: argparse would then report a missing command before an
+    # unknown flag, and `perturbreg --bogus` would never name --bogus.
+    sub = parser.add_subparsers(dest="command")
 
     d = sub.add_parser("differentiate",
                        help="differentiate a t,y CSV of noisy uniform samples")
@@ -521,8 +523,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    parser = build_parser()
     try:
-        args = build_parser().parse_args(argv)
+        args = parser.parse_args(argv)
+        if args.command is None:
+            parser.error("the following arguments are required: command")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     return args.func(args)

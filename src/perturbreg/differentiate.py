@@ -10,10 +10,11 @@ controlled 1/alpha amplification plus an O(alpha) bias.
 
 One private core differentiates a stack of sample rows on one grid: a
 baseline fit per row, then detrending, the shifted solve and the slope as
-array passes over the stack. ``regularized_derivative`` runs it on one row;
-a convergence study runs each noise level through it as one pass over its
-seeds. ``resolvent_apply``, the continuous kernel discretized to O(h^2),
-is only a reference.
+array passes over the stack; SampleOverflow fails the whole stack.
+``regularized_derivative`` runs it on one row; a convergence study runs
+each noise level through it as one pass over its seeds.
+``resolvent_apply``, the continuous kernel discretized to O(h^2), is only
+a reference.
 """
 
 from __future__ import annotations
@@ -126,15 +127,6 @@ def resolvent_apply(g: GridFunction, alpha: float) -> GridFunction:
     return g.with_values(_finite(x, "the resolvent output"))
 
 
-def resolvent_norm_bound(alpha: float, a: float, b: float) -> float:
-    """Sup-norm bound (2 - exp(-(b-a)/alpha)) / alpha of the resolvent; < 2/alpha."""
-    if alpha <= 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    if not b > a:
-        raise ValueError(f"empty interval [{a}, {b}]")
-    return (2.0 - math.exp(-(b - a) / alpha)) / alpha
-
-
 def _fit_baselines(values: np.ndarray, t: np.ndarray, a: float, h: float,
                    window_width: float) -> list[Baseline]:
     """``estimate_baseline`` of each row of values, one polyfit call per row."""
@@ -167,13 +159,13 @@ def estimate_baseline(y: GridFunction, window_width: float) -> Baseline:
 
 def _derivative_rows(values: np.ndarray, a: float, b: float, alpha: float,
                      baseline: Baseline | None = None, window: float | None = None,
-                     ) -> tuple[list[Baseline], np.ndarray, np.ndarray, np.ndarray]:
+                     ) -> tuple[list[Baseline], np.ndarray, np.ndarray]:
     """``regularized_derivative`` of each row of values (S, n), in one array pass.
 
     Every row gets its own baseline fit and exactly the bits a one-row call
-    gives. Returns the baselines and the stacks of detrended samples, x_alpha
-    and derivatives, unchecked: ``_checked`` then raises and warns as that
-    call would.
+    gives. Returns the baselines and the stacks of x_alpha and derivatives,
+    checked in that call's order: the detrended samples, AlphaTooSmall once
+    per row, then the solve's output and the derivative (SampleOverflow).
     """
     if alpha <= 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
@@ -189,22 +181,10 @@ def _derivative_rows(values: np.ndarray, a: float, b: float, alpha: float,
             baselines = [baseline] * len(values)
         c = np.array([[bl.c] for bl in baselines], dtype=float)
         d = np.array([[bl.d] for bl in baselines], dtype=float)
-        detrended = values - c - d * (t - a)
-        x_alpha = op.solve_shifted(alpha, detrended)
-        return baselines, detrended, x_alpha, x_alpha + d
-
-
-def _checked(detrended: np.ndarray, x_alpha: np.ndarray, derivative: np.ndarray,
-             alpha: float, h: float) -> None:
-    """Raise SampleOverflow at the first stack that left the float64 range; warn between.
-
-    AlphaTooSmall comes once per row, after the detrended samples passed,
-    before the solve's output is checked: where a one-row call warns.
-    """
-    _finite(detrended, "the detrended samples")
-    _warn_unresolved(alpha, h, len(x_alpha))
-    _finite(x_alpha, "the resolvent output")
-    _finite(derivative, "the derivative")
+        detrended = _finite(values - c - d * (t - a), "the detrended samples")
+        _warn_unresolved(alpha, op.h, len(values))
+        x_alpha = _finite(op.solve_shifted(alpha, detrended), "the resolvent output")
+        return baselines, x_alpha, _finite(x_alpha + d, "the derivative")
 
 
 def regularized_derivative(y_tilde: GridFunction, alpha: float,
@@ -249,9 +229,8 @@ def regularized_derivative(y_tilde: GridFunction, alpha: float,
         When the detrended samples, the solve's output or the derivative
         leave the float64 range (finite samples near +-1.8e308 can).
     """
-    baselines, detrended, x_alpha, derivative = _derivative_rows(
+    baselines, x_alpha, derivative = _derivative_rows(
         y_tilde.values[None], y_tilde.a, y_tilde.b, alpha, baseline, window)
-    _checked(detrended, x_alpha, derivative, alpha, y_tilde.h)
     return DerivativeResult(
         x_alpha=y_tilde.with_values(x_alpha[0]),
         derivative=y_tilde.with_values(derivative[0]),

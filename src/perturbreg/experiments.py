@@ -6,10 +6,10 @@ and watch the error fall as the noise level does. Errors are reported both
 over the full interval and with the startup layer [a, a + 3*alpha] excluded,
 because the boundary bias and the noise response scale differently.
 
-A convergence study samples the function and its derivative once, draws
+A convergence study checks every seed and noise level, samples once, draws
 each seed's unit noise once, and runs each noise level as one array pass
-over its seeds; every run keeps the bits, the error and the warning it gets
-alone from ``run_experiment``.
+over its seeds: each run has the bits, error and warning of a lone
+``run_experiment``, and the first stack that leaves the float64 range raises.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .differentiate import _checked, _derivative_rows
-from .errors import SampleOverflow, UnknownExample
+from .differentiate import _derivative_rows, _finite
+from .errors import UnknownExample
 from .grid import GridFunction
 from .solve import SqrtDelta, coordinate_alpha
 
@@ -136,9 +136,7 @@ def add_noise(y: GridFunction, spec: NoiseSpec) -> GridFunction:
     unit = _unit_noise([spec.seed], spec.distribution, y.n)[0]
     with np.errstate(over="ignore", invalid="ignore"):
         noisy = y.values + spec.delta * unit
-    if not np.isfinite(noisy).all():
-        raise SampleOverflow("the noisy samples left the float64 range")
-    return y.with_values(noisy)
+    return y.with_values(_finite(noisy, "the noisy samples"))
 
 
 @dataclass(frozen=True)
@@ -166,20 +164,12 @@ def _runs(example_id: int, n: int, delta: float, alpha: float, seeds: Sequence[i
           units: np.ndarray, y: GridFunction, exact: GridFunction) -> list[ExperimentReport]:
     """One report per seed: the rows y + delta * units differentiated as one stack.
 
-    Every row gets the bits of a lone run. Should any run leave the float64
-    range, the seeds run again one at a time, so that the first such run
-    raises after only the runs before it warned, as in a loop of lone runs.
+    Every row gets the bits of a lone run. Raises SampleOverflow when the
+    noisy samples or any later stack leave the float64 range.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        noisy = y.values + delta * units
-    stacks = _derivative_rows(noisy, y.a, y.b, alpha) if np.isfinite(noisy).all() else None
-    if len(seeds) > 1 and (stacks is None or not all(np.isfinite(s).all() for s in stacks[1:])):
-        return [report for i, seed in enumerate(seeds)
-                for report in _runs(example_id, n, delta, alpha, [seed], units[i:i + 1], y, exact)]
-    if stacks is None:
-        raise SampleOverflow("the noisy samples left the float64 range")
-    _, detrended, x_alpha, derivative = stacks
-    _checked(detrended, x_alpha, derivative, alpha, y.h)
+        noisy = _finite(y.values + delta * units, "the noisy samples")
+    _, _, derivative = _derivative_rows(noisy, y.a, y.b, alpha)
     err = np.abs(derivative - exact.values)
     interior = y.t > y.a + 3.0 * alpha  # past the startup layer
     full = err.max(axis=1).tolist()
@@ -258,7 +248,10 @@ def convergence_study(example_id: int, deltas: Sequence[float], seeds: Sequence[
     row keeps its runs' reports, so a caller that writes the runs out does
     not run them again.
 
-    Raises ValueError when deltas or seeds are empty.
+    The example, every delta's alpha = sqrt(delta) and every seed are checked
+    before anything is sampled: ValueError when deltas or seeds are empty or
+    a seed is negative. SampleOverflow comes from the first delta whose runs
+    leave the float64 range.
     """
     deltas = [float(d) for d in deltas]
     seeds = [int(s) for s in seeds]
@@ -266,19 +259,14 @@ def convergence_study(example_id: int, deltas: Sequence[float], seeds: Sequence[
         raise ValueError("need at least one delta")
     if not seeds:
         raise ValueError("need at least one seed")
-    if min(seeds) < 0:
-        # A lone run rejects a negative seed only after the runs before it,
-        # any of which can fail first: make them. The negative seed raises.
-        for seed in seeds:
-            run_experiment(example_id, deltas[0], seed, n=n)
-    # a lone run's checks, in its order, before anything is sampled
     example_interval(example_id)
-    coordinate_alpha(deltas[0], SqrtDelta())
+    alphas = [coordinate_alpha(delta, SqrtDelta()) for delta in deltas]
+    if min(seeds) < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {min(seeds)}")
     y, exact = _sample(example_id, n)
     units = _unit_noise(seeds, "gaussian_unit", n)
     rows = []
-    for delta in deltas:
-        alpha = coordinate_alpha(delta, SqrtDelta())
+    for delta, alpha in zip(deltas, alphas):
         reports = _runs(example_id, n, delta, alpha, seeds, units, y, exact)
         rows.append(StudyRow(
             delta=delta,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -27,6 +28,8 @@ class GridFunction:
             raise ValueError("need a 1-d array of at least two samples")
         if not self.b > self.a:
             raise ValueError(f"empty interval [{self.a}, {self.b}]")
+        if not math.isfinite(float(self.b) - float(self.a)):  # floats: inf, not a warning
+            raise ValueError(f"interval [{self.a}, {self.b}] is wider than the float64 range")
         if not np.all(np.isfinite(vals)):
             raise ValueError("samples must be finite")
         object.__setattr__(self, "values", vals)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -107,6 +108,8 @@ class DiscreteOperator:
         """Running trapezoid integral over [a, b] on n uniform points."""
         if not b > a:
             raise ValueError(f"empty interval [{a}, {b}]")
+        if not math.isfinite(float(b) - float(a)):  # floats: inf, not a warning
+            raise ValueError(f"interval [{a}, {b}] is wider than the float64 range")
         if n < 2:
             raise ValueError(f"need at least two grid points, got {n}")
         return cls(a=float(a), b=float(b), n=int(n))

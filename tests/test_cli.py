@@ -1092,6 +1092,16 @@ class TestTopLevel:
     def test_unknown_flag_is_usage_error(self, tmp_path):
         assert main(["differentiate", "nope.csv", "--frobnicate"]) == 2
 
+    @pytest.mark.parametrize("argv, fault", [
+        (["--bogus"], "unrecognized arguments: --bogus"),
+        ([], "the following arguments are required: command"),
+    ])
+    def test_top_level_usage_error_names_the_fault(self, capsys, argv, fault):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert [ln for ln in err.splitlines() if "error:" in ln] == [f"perturbreg: error: {fault}"]
+
     def test_cli_import_leaves_jsonschema_out(self):
         # Problem files are validated without jsonschema; importing it would
         # add its start-up time to every command.

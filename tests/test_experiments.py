@@ -11,11 +11,13 @@ from perturbreg import (
     DiscreteOperator,
     GridFunction,
     NoiseSpec,
+    SampleOverflow,
     UnknownExample,
     add_noise,
     convergence_study,
     run_experiment,
 )
+from perturbreg import experiments
 from perturbreg.differentiate import estimate_baseline
 from perturbreg.experiments import _median, example_function, example_interval
 
@@ -272,27 +274,25 @@ class TestConvergenceStudy:
             convergence_study(1, [0.01, 0.001], [1, 2, 3], n=16)  # alpha < h = 0.2
         assert [type(w.message) for w in caught] == [AlphaTooSmall] * 6
 
-    @pytest.mark.parametrize("deltas, seeds, n", [
-        ([0.2, 5e307], list(range(12)), 3),  # a later seed overflows after detrending
-        ([0.2, 1e308], list(range(12)), 4),
-        ([1e308], [0, 1], 512),  # the first seed overflows at once
-        ([1e308], [0, -1], 512),  # the overflow comes before the bad seed
-        ([0.01, 1e308], [0, -1], 16),  # a bad seed, after the runs before it
+    @pytest.mark.parametrize("deltas, seeds, n, error", [
+        ([0.2, 5e307], list(range(12)), 3, SampleOverflow),  # overflows after detrending
+        ([0.2, 1e308], list(range(12)), 4, SampleOverflow),
+        ([1e308], [0, 1], 512, SampleOverflow),  # the noisy samples overflow at once
+        ([1e308], [0, -1], 512, ValueError),  # the bad seed is caught before any run
+        ([0.01, 1e308], [0, -1], 16, ValueError),  # alpha < h would warn if it ran
     ])
-    def test_failing_study_raises_and_warns_as_lone_runs(self, deltas, seeds, n):
-        def outcome(study):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                with pytest.raises(Exception) as raised:
-                    study()
-            return type(raised.value), str(raised.value), [str(w.message) for w in caught]
-
-        def lone_runs():
-            for delta in deltas:
-                for seed in seeds:
-                    run_experiment(1, delta, seed, n=n)
-
-        assert outcome(lambda: convergence_study(1, deltas, seeds, n=n)) == outcome(lone_runs)
+    def test_failing_study_checks_seeds_first_and_raises_on_overflow(
+            self, monkeypatch, deltas, seeds, n, error):
+        passes = []
+        rows = experiments._derivative_rows
+        monkeypatch.setattr(experiments, "_derivative_rows",
+                            lambda *args: passes.append(1) or rows(*args))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(error, match="left the float64 range|nonnegative integer"):
+                convergence_study(1, deltas, seeds, n=n)
+        if error is ValueError:
+            assert passes == [] and caught == []
 
     def test_reports_take_no_part_in_row_equality(self):
         assert convergence_study(1, [0.1], [1], n=64) == convergence_study(1, [0.1], [1], n=64)

@@ -1,5 +1,7 @@
 """Tests for uniform-grid function containers."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,23 @@ def test_rejects_short_arrays():
 def test_rejects_reversed_interval():
     with pytest.raises(ValueError):
         GridFunction(1.0, 0.0, np.zeros(3))
+
+
+@pytest.mark.parametrize("a, b", [
+    (-1e308, 1e308),
+    (np.float64(-1e308), np.float64(1e308)),  # numpy scalars would warn on b - a
+    (0.0, np.inf),
+])
+def test_rejects_interval_wider_than_float64_range(a, b):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="wider than the float64 range"):
+            GridFunction(a, b, np.zeros(3))
+
+
+def test_widest_finite_interval_accepted():
+    g = GridFunction(-8e307, 8e307, np.zeros(3))
+    assert g.h == 8e307
 
 
 def test_rejects_nonfinite_values():

@@ -1,5 +1,7 @@
 """Tests for the discrete integration operator and stabilizers."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
@@ -190,6 +192,14 @@ class TestDiscreteOperator:
             DiscreteOperator.volterra(0.0, 1.0, 1)
         with pytest.raises(ValueError):
             DiscreteOperator.volterra(1.0, 1.0, 8)
+
+    @pytest.mark.parametrize("a, b", [(-1e308, 1e308), (np.float64(-1e308), np.float64(1e308))])
+    def test_volterra_rejects_interval_wider_than_float64_range(self, a, b):
+        # its shifted solve once returned [10, nan, nan] for a vector of ones
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="wider than the float64 range"):
+                DiscreteOperator.volterra(a, b, 3).solve_shifted(0.1, np.ones(3))
 
     def test_apply_checks_operand_size(self):
         op = DiscreteOperator.dense(np.eye(3))
