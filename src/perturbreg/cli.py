@@ -11,6 +11,13 @@ shortest decimal that round-trips, so re-reading a produced CSV recovers
 the exact binary values. CSV floats get those bytes from the vectorized
 formatter in ``_floatfmt``, a block of rows at a time, not from one
 ``repr`` call per value.
+
+CSV input takes the first of three readers that accepts it: ``np.loadtxt``
+on the file's path (numpy reads it in chunks, in C), ``np.loadtxt`` on the
+stripped lines (whitespace-only lines), and ``float()`` per field (the rest,
+with line-numbered errors). A path ending in ``.gz``, ``.bz2``, ``.xz`` or
+``.lzma`` skips the first, which would decompress it, and a relative path
+reaches numpy made absolute, since numpy fetches a URL-like string.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -106,29 +114,33 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _csv_text(header: list[str] | None, columns: list) -> str:
-    # Each value prints as ``fmt`` prints it. A column that is a list holds
-    # its strings already: a grid printed once for many files, or integers.
-    # With header None only the rows are printed, as a block of a longer CSV.
-    # The rows are laid out as one NUL-padded byte matrix, each cell followed
-    # by ',' or '\n', and dropping the NULs leaves the text.
+    # Each value prints as ``fmt`` prints it. A column that is a list of str
+    # or a bytes (``S``) array holds its strings already: a grid printed once
+    # for many files, or integers. With header None only the rows are
+    # printed, as a block of a longer CSV. The rows are laid out as one
+    # NUL-padded byte matrix, each cell followed by ',' or '\n', and dropping
+    # the NULs leaves the text.
     rows = min(map(len, columns), default=0)
     if not rows:
         return ("" if header is None else ",".join(header)) + "\n"
-    m = _csv_matrix(columns, rows)
-    text = m[m != 0].tobytes().decode("ascii")
+    text = _csv_matrix(columns, rows).tobytes().translate(None, b"\0").decode("ascii")
     return text if header is None else ",".join(header) + "\n" + text
+
+
+def _is_printed(col) -> bool:
+    """Whether a CSV column holds its strings: a list of str or an ``S`` array."""
+    return isinstance(col, list) or (isinstance(col, np.ndarray) and col.dtype.kind == "S")
 
 
 def _csv_matrix(columns: list, rows: int) -> np.ndarray:
     """The first ``rows`` rows of ``columns`` as NUL-padded cells and separators."""
-    numeric = [np.asarray(col, dtype=float)[:rows] for col in columns
-               if not isinstance(col, list)]
+    numeric = [np.asarray(col, dtype=float)[:rows] for col in columns if not _is_printed(col)]
     formatted = _floatfmt.cells(numeric)
     cells = []  # (rows, width) strings, or (WIDTH, rows) slots of floats and those used
     for col in columns:
-        if isinstance(col, list):
-            cells.append((np.array(col[:rows], dtype="S").view(np.uint8).reshape(rows, -1),
-                          None))
+        if _is_printed(col):
+            cells.append((np.ascontiguousarray(col[:rows], dtype="S")
+                          .view(np.uint8).reshape(rows, -1), None))
         else:
             slots = formatted[:, :rows]
             formatted = formatted[:, rows:]
@@ -167,8 +179,10 @@ class _CsvError(Exception):
 
 
 # loadtxt strips these around a field as whitespace; float() rejects them.
-_LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
-_SCAN_CHARS = 1 << 20
+_LOADTXT_ONLY_SPACE = b"\x1c\x1d\x1e\x1f"
+_SCAN_BYTES = 1 << 20
+# numpy's file reader decompresses a path that ends in one of these.
+_NUMPY_UNPACKS = (".gz", ".bz2", ".xz", ".lzma")
 
 
 def read_csv_columns(path) -> tuple[list[str], np.ndarray]:
@@ -182,48 +196,86 @@ def read_csv_columns(path) -> tuple[list[str], np.ndarray]:
     """
     try:
         with open(path) as fh:
-            return _read_csv(fh)
+            return _read_csv(fh, path)
     except (OSError, UnicodeDecodeError) as exc:
         raise _CsvError(f"cannot read {path}: {exc}") from exc
 
 
-def _next_filled_line(fh) -> tuple[int, str]:
-    """The position and stripped text of the next nonblank line; text '' at the end."""
+def _next_filled_line(fh) -> tuple[int, int, str]:
+    """(lines read, position, stripped text) of the next nonblank line; text '' at the end."""
+    count = 0
     while True:
         position = fh.tell()
         line = fh.readline()
+        count += 1
         if not line or line.strip():
-            return position, line.strip()
+            return count, position, line.strip()
 
 
-def _read_csv(fh) -> tuple[list[str], np.ndarray]:
-    _, header_line = _next_filled_line(fh)
-    start, first_row = _next_filled_line(fh)
+def _read_csv(fh, path) -> tuple[list[str], np.ndarray]:
+    skip, _, header_line = _next_filled_line(fh)
+    _, start, first_row = _next_filled_line(fh)
     if not first_row:
         raise _CsvError("need a header line and at least one data row")
     header = [field.strip() for field in header_line.split(",")]
-    # One numpy pass over the open file for well-formed input. loadtxt
-    # converts each field with the interpreter's own PyOS_string_to_double,
-    # and strips the whitespace str.strip does around it, so the values it
-    # accepts are the ones float() gives. The lines are stripped as they are
-    # read, so a whitespace-only line is empty and skipped, as a blank one
-    # is. What loadtxt rejects (also '1_0' or non-ASCII digits, which
-    # float() takes) goes through the line loop, and so does a file that
-    # holds a character of _LOADTXT_ONLY_SPACE.
+    # Well-formed input takes one np.loadtxt call. loadtxt converts each
+    # field with the interpreter's own PyOS_string_to_double, and strips the
+    # whitespace str.strip does around it, so the values it accepts are the
+    # ones float() gives. Three tiers:
+    # 1. loadtxt on the path (see _numpy_path), past the ``skip`` lines that
+    #    end at the header. It rejects a whitespace-only line.
+    # 2. loadtxt on the stripped lines after the header, where such a line
+    #    is empty and skipped, as a blank one is.
+    # 3. The line loop, for what loadtxt rejects (also '1_0' or non-ASCII
+    #    digits, which float() takes) and a file holding a byte of
+    #    _LOADTXT_ONLY_SPACE.
     data = None
-    fh.seek(start)
-    chunks = iter(lambda: fh.read(_SCAN_CHARS), "")
-    if not any(char in chunk for chunk in chunks for char in _LOADTXT_ONLY_SPACE):
-        fh.seek(start)
-        try:
-            data = np.loadtxt(map(str.strip, fh), delimiter=",", comments=None,
-                              dtype=float, ndmin=2)
-        except ValueError:
-            pass
+    if not _holds_loadtxt_only_space(path):
+        path_for_numpy = _numpy_path(path)
+        if path_for_numpy is not None:
+            data = _loadtxt(path_for_numpy, skip, fh.encoding)
+        if data is None:
+            fh.seek(start)
+            data = _loadtxt(map(str.strip, fh), 0, fh.encoding)
     if data is None or data.shape[1] != len(header) or not np.isfinite(data).all():
         fh.seek(0)
         data = _parse_rows(list(map(str.strip, fh.read().split("\n"))), len(header))
     return header, data
+
+
+def _holds_loadtxt_only_space(path) -> bool:
+    """Whether the file holds a byte of _LOADTXT_ONLY_SPACE, read 1 MiB at a time.
+
+    In an ASCII-compatible encoding these bytes are exactly those characters.
+    """
+    with open(path, "rb") as raw:
+        return any(byte in chunk for chunk in iter(lambda: raw.read(_SCAN_BYTES), b"")
+                   for byte in _LOADTXT_ONLY_SPACE)
+
+
+def _numpy_path(path) -> str | None:
+    """``path`` as np.loadtxt may read it, or None when it must not.
+
+    numpy's datasource decompresses by suffix, and fetches a URL-like string
+    (``http://host/in.csv`` can be a relative path) from the network. A path
+    led by the working directory has no URL scheme; joined, not normalized,
+    its '..' still means what it means to the open file.
+    """
+    path = os.fspath(path)
+    if not isinstance(path, str) or path.lower().endswith(_NUMPY_UNPACKS):
+        return None
+    return path if os.path.isabs(path) else os.path.join(os.getcwd(), path)
+
+
+def _loadtxt(source, skip: int, encoding: str) -> np.ndarray | None:
+    """The float rows np.loadtxt reads from ``source``, or None when it rejects them."""
+    try:
+        return np.loadtxt(source, delimiter=",", comments=None, dtype=float, ndmin=2,
+                          skiprows=skip, encoding=encoding)
+    except UnicodeDecodeError:  # a ValueError, but the file cannot be read at all
+        raise
+    except ValueError:
+        return None
 
 
 def _parse_rows(lines: list[str], width: int) -> np.ndarray:
@@ -406,15 +458,16 @@ def _cmd_experiment(args) -> int:
     for message in dict.fromkeys(str(w.message) for w in caught):
         print(f"warning: {message}", file=sys.stderr)
 
-    # Every run and the plot share the example's grid: print it once. Each
-    # text has a fixed formatting cost, so the runs' rows are printed about
-    # CSV_BLOCK_ROWS at a time, several runs to one text cut into their files.
-    grid = list(map(repr, rows[0].reports[0].derivative.t.tolist()))
+    # Every run and the plot share the example's grid: print it once, as
+    # bytes. Each text has a fixed formatting cost, so the runs' rows are
+    # printed about CSV_BLOCK_ROWS at a time, several runs to one text cut
+    # into their files.
+    grid = np.array(list(map(repr, rows[0].reports[0].derivative.t.tolist())), dtype="S")
     runs = [(row.delta, rep) for row in rows for rep in row.reports]
     per_text = max(1, CSV_BLOCK_ROWS // len(grid))
     for start in range(0, len(runs), per_text):
         batch = runs[start:start + per_text]
-        text = _csv_text(None, [grid * len(batch),
+        text = _csv_text(None, [np.tile(grid, len(batch)),
                                 np.concatenate([rep.derivative.values for _, rep in batch])])
         for (delta, rep), part in zip(batch, _cut_rows(text, len(grid))):
             name = f"example{args.example}_delta{fmt(delta)}_seed{rep.seed}.csv"
@@ -522,8 +575,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built once per process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         if args.command is None:

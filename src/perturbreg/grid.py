@@ -9,6 +9,17 @@ from typing import Callable
 import numpy as np
 
 
+def _float_width(a, b) -> float:
+    """b - a as Python floats: inf past the float64 range.
+
+    Never a numpy warning, nor an OverflowError for an int beyond that range.
+    """
+    try:
+        return float(b) - float(a)
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class GridFunction:
     """A real function sampled at t_i = a + i*h, h = (b - a)/(n - 1).
@@ -28,7 +39,7 @@ class GridFunction:
             raise ValueError("need a 1-d array of at least two samples")
         if not self.b > self.a:
             raise ValueError(f"empty interval [{self.a}, {self.b}]")
-        if not math.isfinite(float(self.b) - float(self.a)):  # floats: inf, not a warning
+        if not math.isfinite(_float_width(self.a, self.b)):
             raise ValueError(f"interval [{self.a}, {self.b}] is wider than the float64 range")
         if not np.all(np.isfinite(vals)):
             raise ValueError("samples must be finite")

@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import GridFunction
+from .grid import GridFunction, _float_width
 
 # Samples per block of ``first_order_scan``. Each sample costs one row of a
 # matrix product this wide; smaller blocks would add recursion levels, each a
@@ -108,7 +108,7 @@ class DiscreteOperator:
         """Running trapezoid integral over [a, b] on n uniform points."""
         if not b > a:
             raise ValueError(f"empty interval [{a}, {b}]")
-        if not math.isfinite(float(b) - float(a)):  # floats: inf, not a warning
+        if not math.isfinite(_float_width(a, b)):
             raise ValueError(f"interval [{a}, {b}] is wider than the float64 range")
         if n < 2:
             raise ValueError(f"need at least two grid points, got {n}")

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import gzip
 import io
 import json
 import os
@@ -19,6 +20,7 @@ from perturbreg import (
     GridFunction,
     Stabilizer,
     cli,
+    convergence_study,
     operators,
     regularized_derivative,
     run_experiment,
@@ -146,6 +148,22 @@ class TestFloatFormat:
         assert _csv_text(["a", "b"], [list(map(fmt, values)), columns[1]]) == \
             csv_by_value(["a", "b"], columns)
 
+    @pytest.mark.parametrize("n", [1, 7, CSV_BLOCK_ROWS + 1])
+    def test_bytes_column_prints_as_its_list_of_str(self, n):
+        # experiment prints its grid from an S array; the bytes are the same
+        # (lines are compared, so that a failure is reported fast)
+        values = np.random.default_rng(n).standard_normal(n)
+        printed = list(map(str, range(n)))  # as floats they would print as '0.0', ...
+        for header in (["t", "v"], None):
+            assert _csv_text(header, [np.array(printed, dtype="S"), values]).splitlines() == \
+                _csv_text(header, [printed, values]).splitlines()
+        by_list, by_bytes = io.StringIO(), io.StringIO()
+        _write_csv(by_list, ["t", "v"], [printed, values])
+        _write_csv(by_bytes, ["t", "v"], [np.array(printed, dtype="S"), values])
+        expected = ["t,v"] + [f"{p},{fmt(v)}" for p, v in zip(printed, values)]
+        assert by_list.getvalue() == "\n".join(expected) + "\n"
+        assert by_bytes.getvalue().splitlines() == expected
+
     @pytest.mark.parametrize("n", [0, 1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS,
                                    CSV_BLOCK_ROWS + 1, 3 * CSV_BLOCK_ROWS + 7])
     def test_blocks_join_to_the_one_shot_text(self, n):
@@ -193,6 +211,19 @@ def csv_texts(draw):
         out.append(line)
     sep = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     return sep.join(out) + (sep if draw(st.booleans()) else "")
+
+
+def record_loadtxt_sources(monkeypatch):
+    """A list that collects the first argument of every np.loadtxt call."""
+    sources = []
+    loadtxt = np.loadtxt
+
+    def recording(source, *args, **kwargs):
+        sources.append(source)
+        return loadtxt(source, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", recording)
+    return sources
 
 
 class TestCsvReader:
@@ -271,6 +302,99 @@ class TestCsvReader:
     def test_undecodable_file_exits_2(self, tmp_path, capsys):
         path = tmp_path / "in.csv"
         path.write_bytes(b"t,y\n0,1\n1,\xff\n")
+        assert main(["differentiate", str(path), "--alpha", "0.1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: malformed CSV: cannot read {path}: ")
+        assert err.count("\n") == 1
+
+    # Which of the three readers a file takes: numpy on the path, numpy on
+    # stripped lines, or the line loop.
+    @pytest.fixture
+    def no_line_loop(self, monkeypatch):
+        def line_loop_not_wanted(lines, width):
+            raise AssertionError("fell back to the line loop")
+        monkeypatch.setattr(cli, "_parse_rows", line_loop_not_wanted)
+
+    def test_benchmark_shaped_file_takes_the_path_reader(self, tmp_path, monkeypatch,
+                                                         no_line_loop):
+        t = np.linspace(0.0, 3.0, 2000)
+        y = np.sin(t) + 1e-3 * np.random.default_rng(0).standard_normal(t.size)
+        path = tmp_path / "in.csv"
+        np.savetxt(path, np.column_stack([t, y]), fmt="%.17g", delimiter=",",
+                   header="t,y", comments="")
+        sources = record_loadtxt_sources(monkeypatch)
+        header, data = read_csv_columns(path)
+        assert sources == [str(path)]
+        assert header == ["t", "y"]
+        assert data.tobytes() == np.column_stack([t, y]).tobytes()
+
+    @pytest.mark.parametrize("sep", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_blank_lines_before_the_header_take_the_path_reader(self, tmp_path, monkeypatch,
+                                                                no_line_loop, sep):
+        path = tmp_path / "in.csv"
+        path.write_bytes(sep.join(["", "  ", "\t", " t , y ", "0,1", "0.5,2", "1,3"]).encode())
+        expected = csv_outcome(read_csv_by_lines, path)
+        sources = record_loadtxt_sources(monkeypatch)
+        assert csv_outcome(read_csv_columns, path) == expected
+        assert sources == [str(path)]
+
+    def test_whitespace_only_data_line_takes_the_stripped_lines(self, tmp_path, monkeypatch,
+                                                               no_line_loop):
+        path = tmp_path / "in.csv"
+        path.write_text("t,y\n0,1\n  \n0.5,2\n")
+        sources = record_loadtxt_sources(monkeypatch)
+        assert csv_outcome(read_csv_columns, path) == csv_outcome(read_csv_by_lines, path)
+        assert sources[0] == str(path) and not isinstance(sources[1], str)
+
+    @pytest.mark.parametrize("name", ["in.csv.gz", "in.csv.bz2", "in.csv.xz", "in.CSV.LZMA"])
+    def test_plain_text_with_a_compressed_suffix_reads_as_text(self, tmp_path, monkeypatch,
+                                                               name):
+        # numpy would decompress it by its suffix; it is read as the text it is
+        path = tmp_path / name
+        path.write_text("t,y\n0,1\n0.5,2\n")
+        sources = record_loadtxt_sources(monkeypatch)
+        assert csv_outcome(read_csv_columns, path) == (["t", "y"], (2, 2),
+                                                      np.array([[0, 1], [0.5, 2]]).tobytes())
+        assert not any(isinstance(source, str) for source in sources)
+
+    def test_gzip_file_cannot_be_read(self, tmp_path, capsys):
+        path = tmp_path / "in.csv.gz"
+        path.write_bytes(gzip.compress(b"t,y\n0,1\n0.5,2\n1,3\n", mtime=0))
+        assert main(["differentiate", str(path), "--alpha", "0.1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: malformed CSV: cannot read {path}: ")
+        assert err.count("\n") == 1
+
+    def test_url_like_relative_path_reads_from_disk(self, tmp_path, monkeypatch):
+        # numpy would fetch "http://localhost/in.csv"; it is a file under
+        # the directories "http:" and "localhost"
+        (tmp_path / "http:" / "localhost").mkdir(parents=True)
+        path = tmp_path / "http:" / "localhost" / "in.csv"
+        path.write_text("t,y\n0,1\n0.5,2\n")
+        monkeypatch.chdir(tmp_path)
+        sources = record_loadtxt_sources(monkeypatch)
+        assert csv_outcome(read_csv_columns, "http://localhost/in.csv") == \
+            csv_outcome(read_csv_by_lines, path)
+        assert sources == [os.path.join(str(tmp_path), "http://localhost/in.csv")]
+
+    def test_dotdot_after_a_symlink_reads_the_opened_file(self, tmp_path, monkeypatch):
+        # "link/../in.csv" is real/in.csv to the OS; normalized it would be work/in.csv
+        (tmp_path / "real" / "sub").mkdir(parents=True)
+        (tmp_path / "work").mkdir()
+        (tmp_path / "work" / "link").symlink_to(tmp_path / "real" / "sub")
+        (tmp_path / "real" / "in.csv").write_text("t,y\n0,1\n0.5,2\n")
+        (tmp_path / "work" / "in.csv").write_text("t,y\n0,7\n0.5,8\n")
+        monkeypatch.chdir(tmp_path / "work")
+        sources = record_loadtxt_sources(monkeypatch)
+        header, data = read_csv_columns("link/../in.csv")
+        assert data.tolist() == [[0.0, 1.0], [0.5, 2.0]]
+        assert isinstance(sources[0], str)
+
+    def test_undecodable_byte_past_the_first_chunk_exits_2(self, tmp_path, capsys):
+        # the header decodes; numpy's own read meets the bad byte
+        path = tmp_path / "in.csv"
+        rows = "".join(f"{i},{i}\n" for i in range(20000))
+        path.write_bytes(b"t,y\n" + rows.encode() + b"1,\xff\n")
         assert main(["differentiate", str(path), "--alpha", "0.1"]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: malformed CSV: cannot read {path}: ")
@@ -694,6 +818,29 @@ class TestExperiment:
             ["t", "exact", "computed", "error"],
             [rep.derivative.t, exact, computed, np.abs(computed - exact)])
 
+    def test_every_file_matches_per_value_format(self, tmp_path, capsys):
+        outdir = tmp_path / "runs"
+        assert main(["experiment", "--example", "1", "--deltas", "0.1,0.01", "--seeds", "2",
+                     "--seed", "11", "--n", "40", "--out", str(outdir)]) == 0
+        rows = convergence_study(1, [0.1, 0.01], [11, 12], n=40)
+        expected = {}
+        for row in rows:
+            for rep in row.reports:
+                expected[f"example1_delta{fmt(row.delta)}_seed{rep.seed}.csv"] = \
+                    "t,dy\n" + "".join(f"{fmt(t)},{fmt(dy)}\n" for t, dy in
+                                       zip(rep.derivative.t, rep.derivative.values))
+        expected["example1_table.csv"] = \
+            "delta,alpha,seed_count,median_max_error_full,median_max_error_interior\n" + \
+            "".join(f"{fmt(row.delta)},{fmt(row.alpha)},{row.seed_count},"
+                    f"{fmt(row.median_max_error_full)},{fmt(row.median_max_error_interior)}\n"
+                    for row in rows)
+        plot = rows[0].reports[0]  # the first run of the noisiest delta
+        expected["example1_plot.csv"] = "t,exact,computed,error\n" + "".join(
+            f"{fmt(t)},{fmt(exact)},{fmt(dy)},{fmt(abs(dy - exact))}\n" for t, exact, dy in
+            zip(plot.derivative.t, plot.exact_derivative.values, plot.derivative.values))
+        assert {path.name: path.read_text() for path in outdir.iterdir()} == expected
+        assert capsys.readouterr().out == expected["example1_table.csv"]
+
     def test_run_files_longer_than_a_block_match_per_value_format(self, tmp_path):
         # each run's file is then printed on its own, not several to a text
         n = CSV_BLOCK_ROWS + 3
@@ -1088,6 +1235,16 @@ class TestExitCodes:
 class TestTopLevel:
     def test_no_command_is_usage_error(self):
         assert main([]) == 2
+
+    def test_one_parser_serves_every_call(self, tmp_path, capsys):
+        # built once per process; no flag of one call reaches the next
+        path = linear_csv(tmp_path)
+        assert cli._parser() is cli._parser()
+        assert main(["differentiate", str(path), "--alpha", "0.5"]) == 0
+        assert main(["differentiate", str(path), "--delta", "0.04", "--rule", "sqrt"]) == 0
+        assert main(["differentiate", str(path), "--delta", "0.04"]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert [line.split()[0] for line in err] == ["alpha=0.5", "alpha=0.2", "alpha=0.2"]
 
     def test_unknown_flag_is_usage_error(self, tmp_path):
         assert main(["differentiate", "nope.csv", "--frobnicate"]) == 2

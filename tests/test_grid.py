@@ -55,6 +55,14 @@ def test_rejects_interval_wider_than_float64_range(a, b):
             GridFunction(a, b, np.zeros(3))
 
 
+@pytest.mark.parametrize("a, b", [(0, 10**400), (-(10**400), 0.0), (-(10**400), 10**400)],
+                         ids=["b", "a", "both"])
+def test_rejects_python_int_endpoint_beyond_float64_range(a, b):
+    # float() of such an int raises OverflowError; the interval is still too wide
+    with pytest.raises(ValueError, match="wider than the float64 range"):
+        GridFunction(a, b, [1.0, 2.0, 3.0])
+
+
 def test_widest_finite_interval_accepted():
     g = GridFunction(-8e307, 8e307, np.zeros(3))
     assert g.h == 8e307

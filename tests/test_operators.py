@@ -201,6 +201,11 @@ class TestDiscreteOperator:
             with pytest.raises(ValueError, match="wider than the float64 range"):
                 DiscreteOperator.volterra(a, b, 3).solve_shifted(0.1, np.ones(3))
 
+    @pytest.mark.parametrize("a, b", [(0, 10**400), (-(10**400), 0.0)], ids=["b", "a"])
+    def test_volterra_rejects_python_int_endpoint_beyond_float64_range(self, a, b):
+        with pytest.raises(ValueError, match="wider than the float64 range"):
+            DiscreteOperator.volterra(a, b, 3)
+
     def test_apply_checks_operand_size(self):
         op = DiscreteOperator.dense(np.eye(3))
         with pytest.raises(ValueError):
