@@ -1,11 +1,13 @@
 """Command-line interface: differentiate, solve, experiment, sweep.
 
 Exit codes: 0 success, 2 malformed input (flags, CSV, problem file, an
-interval wider than the float64 range), 3 non-uniform sample grid, 4 alpha
-below grid spacing (differentiate --strict only; else a warning line),
-5 singular stabilized system. differentiate checks its flags before it
-reads the CSV, so a bad flag exits 2 whatever the file holds. All file
-output is written atomically (temp file in the target directory, then
+interval wider than the float64 range) or an output path that cannot be
+written, 3 non-uniform sample grid, 4 alpha below grid spacing
+(differentiate --strict only; else a warning line), 5 singular stabilized
+system. ``main`` alone maps a library error to its code; a command returns
+a code only for what it checks itself. differentiate checks its flags
+before it reads the CSV, so a bad flag exits 2 whatever the file holds. All
+file output is written atomically (temp file in the target directory, then
 rename) and floats are printed as ``repr(float(x))`` prints them, the
 shortest decimal that round-trips, so re-reading a produced CSV recovers
 the exact binary values. CSV floats get those bytes from the vectorized
@@ -71,25 +73,38 @@ def fmt(x: float) -> str:
     return repr(float(x))
 
 
+class _OutputError(PerturbregError):
+    """An output path could not be written."""
+
+
+def _cannot_write(path, exc: OSError) -> _OutputError:
+    return _OutputError(f"cannot write {path}: {exc.strerror or exc}")
+
+
 @contextlib.contextmanager
-def _atomic_open(path: Path):
+def _atomic_open(path):
     """A text file for writing at ``path``; it appears, whole, when the block ends.
 
     Temp file in the destination directory, then rename: readers never see a
     half-written file, and two identical runs leave identical bytes. On an
-    error the temp file is removed and ``path`` is left as it was.
+    error the temp file is removed and ``path`` is left as it was; an
+    OSError on the way (no such directory, a file in the way, a full disk)
+    becomes ``cannot write <path>``.
     """
-    path = Path(path)
-    fd, tmp_name = tempfile.mkstemp(dir=str(path.parent), prefix=path.name + ".")
+    target = Path(path)
+    try:
+        fd, tmp_name = tempfile.mkstemp(dir=str(target.parent), prefix=target.name + ".")
+    except OSError as exc:
+        raise _cannot_write(path, exc) from exc
     try:
         with os.fdopen(fd, "w") as fh:
             yield fh
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
+        os.replace(tmp_name, target)
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
             os.unlink(tmp_name)
-        except OSError:
-            pass
+        if isinstance(exc, OSError):
+            raise _cannot_write(path, exc) from exc
         raise
 
 
@@ -104,7 +119,7 @@ def _output(out: str | None):
     if out is None:
         yield sys.stdout
     else:
-        with _atomic_open(Path(out)) as fh:
+        with _atomic_open(out) as fh:
             yield fh
 
 
@@ -310,11 +325,8 @@ def _cmd_differentiate(args) -> int:
         if value is not None and not 0.0 < value < math.inf:
             return _fail(f"{flag} must be {'finite' if value > 0.0 else 'positive'}, "
                          f"got {value}", EXIT_USAGE)
-    try:
-        alpha = args.alpha if args.alpha is not None \
-            else coordinate_alpha(args.delta, parse_rule(args.rule or "sqrt"))
-    except PerturbregError as exc:
-        return _fail(str(exc), EXIT_USAGE)
+    alpha = args.alpha if args.alpha is not None \
+        else coordinate_alpha(args.delta, parse_rule(args.rule or "sqrt"))
 
     baseline = None
     if args.baseline != "auto":
@@ -328,10 +340,7 @@ def _cmd_differentiate(args) -> int:
             return _fail(f"--baseline anchors must be finite, got {args.baseline!r}",
                          EXIT_USAGE)
 
-    try:
-        header, data = read_csv_columns(args.input)
-    except _CsvError as exc:
-        return _fail(f"malformed CSV: {exc}", EXIT_USAGE)
+    header, data = read_csv_columns(args.input)
     if header != ["t", "y"]:
         return _fail(f"expected header 't,y', got {','.join(header)!r}", EXIT_USAGE)
     if data.shape[0] < 2:
@@ -346,13 +355,10 @@ def _cmd_differentiate(args) -> int:
     if h <= 0.0 or np.any(spacing <= 0.0) or np.max(np.abs(spacing - h)) > 1e-9 * h:
         return _fail("t must be strictly increasing with uniform spacing", EXIT_GRID)
 
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", AlphaTooSmall)
-            result = regularized_derivative(GridFunction(t[0], t[-1], y), alpha,
-                                            baseline=baseline, window=args.window)
-    except PerturbregError as exc:
-        return _fail(str(exc), EXIT_USAGE)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", AlphaTooSmall)
+        result = regularized_derivative(GridFunction(t[0], t[-1], y), alpha,
+                                        baseline=baseline, window=args.window)
     alpha_warnings = [w for w in caught if isinstance(w.message, AlphaTooSmall)]
     for w in alpha_warnings:
         print(f"warning: {w.message}", file=sys.stderr)
@@ -401,16 +407,8 @@ def _report_payload(alpha, delta: float, report: SolveReport) -> dict:
 
 
 def _cmd_solve(args) -> int:
-    try:
-        problem = load_problem(args.problem)
-    except PerturbregError as exc:
-        return _fail(str(exc), EXIT_USAGE)
-    try:
-        alpha, report = _solve_problem(problem)
-    except SingularSystem as exc:
-        return _fail(str(exc), EXIT_SINGULAR)
-    except PerturbregError as exc:
-        return _fail(str(exc), EXIT_USAGE)
+    problem = load_problem(args.problem)
+    alpha, report = _solve_problem(problem)
     if report.q_exceeded:
         print(f"warning: q_est={fmt(report.q_est)} is at or above "
               f"q_max={fmt(problem.q_max)}; solution returned anyway", file=sys.stderr)
@@ -446,14 +444,14 @@ def _cmd_experiment(args) -> int:
         return _fail(f"--seed (or ${SEED_ENV_VAR}) must be >= 0, got {seed}", EXIT_USAGE)
 
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", AlphaTooSmall)
-            rows = convergence_study(args.example, deltas,
-                                     [seed + i for i in range(args.seeds)], n=args.n)
-    except PerturbregError as exc:
-        return _fail(str(exc), EXIT_USAGE)
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _cannot_write(args.out, exc) from exc
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", AlphaTooSmall)
+        rows = convergence_study(args.example, deltas,
+                                 [seed + i for i in range(args.seeds)], n=args.n)
     # AlphaTooSmall comes once per run; say each distinct message once.
     for message in dict.fromkeys(str(w.message) for w in caught):
         print(f"warning: {message}", file=sys.stderr)
@@ -494,10 +492,7 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    try:
-        problem = load_problem(args.problem)
-    except PerturbregError as exc:
-        return _fail(str(exc), EXIT_USAGE)
+    problem = load_problem(args.problem)
     if problem.exact_solution is None:
         return _fail("sweep needs 'exact_solution' in the problem file", EXIT_USAGE)
     try:
@@ -512,10 +507,7 @@ def _cmd_sweep(args) -> int:
     op = problem.exact_operator if problem.exact_operator is not None else problem.operator
     stab = Stabilizer.scalar_alpha() if problem.basis is None else problem.basis.stabilizer
 
-    try:
-        gaps = [gap for _, gap in stabilization_sweep(op, stab, alphas, problem.exact_solution)]
-    except SingularSystem as exc:
-        return _fail(str(exc), EXIT_SINGULAR)
+    gaps = [gap for _, gap in stabilization_sweep(op, stab, alphas, problem.exact_solution)]
     c_est = [c_alpha_estimate(op, stab, alpha) for alpha in alphas]
     _emit(_csv_text(["alpha", "S", "c_alpha_est", "q_est"],
                     [np.asarray(alphas), np.asarray(gaps), np.asarray(c_est),
@@ -589,7 +581,14 @@ def main(argv=None) -> int:
             parser.error("the following arguments are required: command")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    return args.func(args)
+    try:
+        return args.func(args)
+    except SingularSystem as exc:
+        return _fail(str(exc), EXIT_SINGULAR)
+    except _CsvError as exc:
+        return _fail(f"malformed CSV: {exc}", EXIT_USAGE)
+    except PerturbregError as exc:
+        return _fail(str(exc), EXIT_USAGE)
 
 
 def run() -> None:

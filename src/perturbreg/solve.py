@@ -100,12 +100,6 @@ class RegConfig:
         if not 0.0 < self.q_max < 1.0:
             raise ValueError(f"q_max must lie in (0, 1), got {self.q_max}")
 
-    def resolve_alpha(self) -> float:
-        """The explicit alpha, or the rule applied to delta."""
-        if self.alpha is not None:
-            return self.alpha
-        return coordinate_alpha(self.delta, self.rule)
-
 
 @dataclass(frozen=True)
 class SolveReport:

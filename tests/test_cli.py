@@ -37,6 +37,7 @@ from perturbreg.cli import (
     main,
     read_csv_columns,
 )
+from perturbreg.errors import PerturbregError, SingularSystem
 from perturbreg.solve import SqrtDelta, c_alpha_estimate, coordinate_alpha
 
 
@@ -50,6 +51,15 @@ def csv_by_value(header, columns):
     """CSV text with every value printed by ``fmt`` on its own."""
     return ",".join(header) + "\n" + "".join(
         ",".join(fmt(v) for v in row) + "\n" for row in zip(*columns))
+
+
+def text_lines(text):
+    """``text`` cut after each line end: equal lists mean equal texts.
+
+    Long CSV texts are compared this way, so a failed check names the first
+    line that differs instead of diffing the two texts whole.
+    """
+    return text.splitlines(keepends=True)
 
 
 def read_csv_by_lines(path):
@@ -172,7 +182,7 @@ class TestFloatFormat:
                    np.exp(50.0 * rng.standard_normal(n))]
         fh = io.StringIO()
         _write_csv(fh, ["i", "a", "b"], columns)
-        assert fh.getvalue() == _csv_text(["i", "a", "b"], columns)
+        assert text_lines(fh.getvalue()) == text_lines(_csv_text(["i", "a", "b"], columns))
 
 
 # Fields the one-pass reader and float() may treat differently: underscores,
@@ -443,8 +453,8 @@ class TestDifferentiate:
         assert main(["differentiate", str(src), "--delta", "0.01", "--out", str(out)]) == 0
         result = regularized_derivative(GridFunction(t[0], t[-1], y),
                                         coordinate_alpha(0.01, SqrtDelta()))
-        assert out.read_text() == csv_by_value(
-            ["t", "dy", "x_alpha"], [t, result.derivative.values, result.x_alpha.values])
+        assert text_lines(out.read_text()) == text_lines(csv_by_value(
+            ["t", "dy", "x_alpha"], [t, result.derivative.values, result.x_alpha.values]))
 
     @pytest.mark.parametrize("n", [2, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS,
                                    CSV_BLOCK_ROWS + 1, 3 * CSV_BLOCK_ROWS + 7])
@@ -454,14 +464,14 @@ class TestDifferentiate:
         src = write_csv(tmp_path / "in.csv", t, y)
         alpha = 3.0  # not below the spacing of two samples
         result = regularized_derivative(GridFunction(t[0], t[-1], y), alpha)
-        expected = _csv_text(["t", "dy", "x_alpha"],
-                             [t, result.derivative.values, result.x_alpha.values])
+        expected = text_lines(_csv_text(["t", "dy", "x_alpha"],
+                                        [t, result.derivative.values, result.x_alpha.values]))
         out = tmp_path / "d.csv"
         assert main(["differentiate", str(src), "--alpha", repr(alpha), "--out", str(out)]) == 0
-        assert out.read_text() == expected
+        assert text_lines(out.read_text()) == expected
         capsys.readouterr()
         assert main(["differentiate", str(src), "--alpha", repr(alpha)]) == 0
-        assert capsys.readouterr().out == expected
+        assert text_lines(capsys.readouterr().out) == expected
 
     def test_peak_memory_stays_a_small_multiple_of_the_input(self, tmp_path, capsys):
         # The CSV is read by loadtxt from the open file and written a block
@@ -1230,6 +1240,99 @@ class TestExitCodes:
         if command == "sweep":
             argv.append("--alphas=" + alphas)
         assert main(argv) in EXIT_CODES
+
+
+def command_argv(tmp_path, command):
+    """A ``command`` call that succeeds once an ``--out`` is added."""
+    if command == "differentiate":
+        return ["differentiate", str(linear_csv(tmp_path)), "--alpha", "0.1"]
+    if command == "experiment":
+        return ["experiment", "--example", "1", "--deltas", "0.1", "--seeds", "1",
+                "--n", "16"]
+    problem = str(write_json(tmp_path, volterra_payload()))
+    return ["solve", problem] if command == "solve" else ["sweep", problem, "--alphas", "0.1"]
+
+
+COMMANDS = ["differentiate", "solve", "experiment", "sweep"]
+# The library call each command makes that a test replaces by a failing one.
+LIBRARY_CALL = {"differentiate": "regularized_derivative", "solve": "solve_perturbed",
+                "experiment": "convergence_study", "sweep": "stabilization_sweep"}
+
+
+class TestErrorMap:
+    """``main`` turns a library error from any command into one line and its code."""
+
+    def fail_with(self, monkeypatch, command, error):
+        def failing(*args, **kwargs):
+            raise error("the library failed")
+        monkeypatch.setattr(cli, LIBRARY_CALL[command], failing)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_library_error_exits_2(self, tmp_path, monkeypatch, capsys, command):
+        self.fail_with(monkeypatch, command, PerturbregError)
+        argv = command_argv(tmp_path, command)
+        if command == "experiment":
+            argv += ["--out", str(tmp_path / "results")]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: the library failed\n")
+
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    def test_singular_system_exits_5(self, tmp_path, monkeypatch, capsys, command):
+        self.fail_with(monkeypatch, command, SingularSystem)
+        assert main(command_argv(tmp_path, command)) == 5
+        assert capsys.readouterr() == ("", "error: the library failed\n")
+
+    def unwritable(self, tmp_path, command, out, capsys):
+        """Run ``command --out out``: it exits 2, names ``out`` and leaves no file."""
+        argv = command_argv(tmp_path, command) + ["--out", str(out)]
+        before = sorted(tmp_path.rglob("*"))
+        capsys.readouterr()
+        assert main(argv) == 2
+        out_text, err = capsys.readouterr()
+        assert out_text == ""
+        assert err.splitlines()[-1].startswith(f"error: cannot write {out}: ")
+        assert err.count("error:") == 1
+        assert sorted(tmp_path.rglob("*")) == before  # no temp file left behind
+
+    @pytest.mark.parametrize("command", ["differentiate", "solve", "sweep"])
+    def test_out_in_a_missing_directory_exits_2(self, tmp_path, capsys, command):
+        self.unwritable(tmp_path, command, tmp_path / "missing" / "out", capsys)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_out_under_a_regular_file_exits_2(self, tmp_path, capsys, command):
+        (tmp_path / "file").write_text("")
+        self.unwritable(tmp_path, command, tmp_path / "file" / "out", capsys)
+
+    @pytest.mark.parametrize("command", ["differentiate", "solve", "sweep"])
+    def test_out_that_is_a_directory_exits_2(self, tmp_path, capsys, command):
+        (tmp_path / "dir").mkdir()
+        self.unwritable(tmp_path, command, tmp_path / "dir", capsys)
+
+    def test_experiment_out_that_is_a_file_exits_2(self, tmp_path, capsys):
+        (tmp_path / "results").write_text("")
+        self.unwritable(tmp_path, "experiment", tmp_path / "results", capsys)
+
+    def test_experiment_directory_where_a_file_goes_exits_2(self, tmp_path, capsys):
+        table = tmp_path / "results" / "example1_table.csv"
+        table.mkdir(parents=True)
+        assert main(command_argv(tmp_path, "experiment")
+                    + ["--out", str(tmp_path / "results")]) == 2
+        assert capsys.readouterr() == ("", f"error: cannot write {table}: Is a directory\n")
+        assert not list(table.parent.glob("example1_table.csv.*"))
+
+    def test_experiment_creates_a_missing_directory(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "results"
+        assert main(command_argv(tmp_path, "experiment") + ["--out", str(out)]) == 0
+        assert (out / "example1_table.csv").is_file()
+
+    def test_unwritable_out_shows_no_traceback(self, tmp_path):
+        proc = fresh_interpreter("-m", "perturbreg.cli",
+                                 *command_argv(tmp_path, "differentiate"),
+                                 "--out", str(tmp_path / "missing" / "d.csv"), check=False)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines()[-1] == (
+            f"error: cannot write {tmp_path / 'missing' / 'd.csv'}: No such file or directory")
 
 
 class TestTopLevel:

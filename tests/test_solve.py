@@ -74,14 +74,6 @@ class TestCoordinateAlpha:
 
 
 class TestRegConfig:
-    def test_explicit_alpha(self):
-        cfg = RegConfig(delta=0.01, alpha=0.3)
-        assert cfg.resolve_alpha() == 0.3
-
-    def test_rule_resolution(self):
-        cfg = RegConfig(delta=0.04, rule=SqrtDelta())
-        assert cfg.resolve_alpha() == pytest.approx(0.2)
-
     def test_alpha_and_rule_are_exclusive(self):
         with pytest.raises(ValueError):
             RegConfig(delta=0.1, alpha=0.1, rule=SqrtDelta())
