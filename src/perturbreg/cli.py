@@ -1,25 +1,30 @@
 """Command-line interface: differentiate, solve, experiment, sweep.
 
 Exit codes: 0 success, 2 malformed input (flags, CSV, problem file, an
-interval wider than the float64 range) or an output path that cannot be
-written, 3 non-uniform sample grid, 4 alpha below grid spacing
-(differentiate --strict only; else a warning line), 5 singular stabilized
-system. ``main`` alone maps a library error to its code; a command returns
-a code only for what it checks itself. differentiate checks its flags
-before it reads the CSV, so a bad flag exits 2 whatever the file holds. All
-file output is written atomically (temp file in the target directory, then
-rename) and floats are printed as ``repr(float(x))`` prints them, the
-shortest decimal that round-trips, so re-reading a produced CSV recovers
-the exact binary values. CSV floats get those bytes from the vectorized
-formatter in ``_floatfmt``, a block of rows at a time, not from one
-``repr`` call per value.
+interval wider than the float64 range), an output path that cannot be
+written or a closed stdout, 3 non-uniform sample grid, 4 alpha below grid
+spacing (differentiate --strict only; else a warning line), 5 singular
+stabilized system. ``main`` alone maps a library error to its code; a
+command returns a code only for what it checks itself. differentiate checks
+its flags before it reads the CSV, so a bad flag exits 2 whatever the file
+holds. All file output is written atomically (temp file in the target
+directory, then rename) and floats are printed as ``repr(float(x))`` prints
+them, the shortest decimal that round-trips, so re-reading a produced CSV
+recovers the exact binary values. CSV floats get those bytes from the
+vectorized formatter in ``_floatfmt``, a block of rows at a time, not from
+one ``repr`` call per value.
 
-CSV input takes the first of three readers that accepts it: ``np.loadtxt``
-on the file's path (numpy reads it in chunks, in C), ``np.loadtxt`` on the
-stripped lines (whitespace-only lines), and ``float()`` per field (the rest,
-with line-numbered errors). A path ending in ``.gz``, ``.bz2``, ``.xz`` or
-``.lzma`` skips the first, which would decompress it, and a relative path
-reaches numpy made absolute, since numpy fetches a URL-like string.
+CSV input takes the first of four readers that accepts it: the plain
+reader, ``np.loadtxt`` on the file's path (numpy reads it in chunks, in C),
+``np.loadtxt`` on the stripped lines (whitespace-only lines), and
+``float()`` per field (the rest, with line-numbered errors). The plain
+reader runs only where ``np.longdouble`` is the x87 80-bit format, and
+takes only lines of digits, '.', 'e', 'E', '+' and '-' joined by ',' and
+each ended by '\\n': numpy's long-double text parser (C ``strtold``) reads
+them, and each value is rounded on to float64, exactly as ``float()``
+reads it. A path ending in ``.gz``, ``.bz2``, ``.xz`` or ``.lzma`` skips
+the second, which would decompress it, and a relative path reaches numpy
+made absolute, since numpy fetches a URL-like string.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import errno
 import functools
 import json
 import math
@@ -198,6 +204,10 @@ _LOADTXT_ONLY_SPACE = b"\x1c\x1d\x1e\x1f"
 _SCAN_BYTES = 1 << 20
 # numpy's file reader decompresses a path that ends in one of these.
 _NUMPY_UNPACKS = (".gz", ".bz2", ".xz", ".lzma")
+# The bytes of a field _read_plain parses, and the bytes it reads at a time.
+_PLAIN_FIELD_BYTES = b"0123456789.eE+-"
+_PLAIN_BLOCK_BYTES = 1 << 18
+_FLOAT64_TINY = 2.2250738585072014e-308  # the least normal float64
 
 
 def read_csv_columns(path) -> tuple[list[str], np.ndarray]:
@@ -233,19 +243,21 @@ def _read_csv(fh, path) -> tuple[list[str], np.ndarray]:
     if not first_row:
         raise _CsvError("need a header line and at least one data row")
     header = [field.strip() for field in header_line.split(",")]
-    # Well-formed input takes one np.loadtxt call. loadtxt converts each
-    # field with the interpreter's own PyOS_string_to_double, and strips the
-    # whitespace str.strip does around it, so the values it accepts are the
-    # ones float() gives. Three tiers:
-    # 1. loadtxt on the path (see _numpy_path), past the ``skip`` lines that
+    # Plain decimal fields take _read_plain, and other well-formed input one
+    # np.loadtxt call. loadtxt converts each field with the interpreter's own
+    # PyOS_string_to_double, and strips the whitespace str.strip does around
+    # it, so the values it accepts are the ones float() gives. Four tiers:
+    # 1. _read_plain, where np.longdouble is the x87 format and every line
+    #    after the header is plain fields joined by ',' and ended by '\n'.
+    # 2. loadtxt on the path (see _numpy_path), past the ``skip`` lines that
     #    end at the header. It rejects a whitespace-only line.
-    # 2. loadtxt on the stripped lines after the header, where such a line
+    # 3. loadtxt on the stripped lines after the header, where such a line
     #    is empty and skipped, as a blank one is.
-    # 3. The line loop, for what loadtxt rejects (also '1_0' or non-ASCII
+    # 4. The line loop, for what loadtxt rejects (also '1_0' or non-ASCII
     #    digits, which float() takes) and a file holding a byte of
     #    _LOADTXT_ONLY_SPACE.
-    data = None
-    if not _holds_loadtxt_only_space(path):
+    data = _read_plain(path, skip, len(header))
+    if data is None and not _holds_loadtxt_only_space(path):
         path_for_numpy = _numpy_path(path)
         if path_for_numpy is not None:
             data = _loadtxt(path_for_numpy, skip, fh.encoding)
@@ -256,6 +268,88 @@ def _read_csv(fh, path) -> tuple[list[str], np.ndarray]:
         fh.seek(0)
         data = _parse_rows(list(map(str.strip, fh.read().split("\n"))), len(header))
     return header, data
+
+
+@functools.cache
+def _long_double_is_x87() -> bool:
+    """Whether np.longdouble is the x87 80-bit format: a 64-bit significand in 16 bytes."""
+    return np.finfo(np.longdouble).nmant == 63 and np.dtype(np.longdouble).itemsize == 16
+
+
+def _read_plain(path, skip: int, width: int) -> np.ndarray | None:
+    """The rows after the ``skip`` lines that end at the header; None unless plain.
+
+    Plain: every line holds ``width`` fields of _PLAIN_FIELD_BYTES joined by
+    ',' and ends with '\\n', the last one too, and the skipped lines hold no
+    '\\r' (so they are the lines the text-mode header search counted). The
+    file is read _PLAIN_BLOCK_BYTES at a time, each block cut after its last
+    '\\n', into one array grown in place.
+    """
+    if not _long_double_is_x87():
+        return None
+    with open(path, "rb") as raw:
+        if any(b"\r" in raw.readline() for _ in range(skip)):
+            return None
+        start = raw.tell()
+        size = raw.seek(-1, os.SEEK_END) + 1
+        if raw.read(1) != b"\n":  # turned away before any block is parsed
+            return None
+        raw.seek(start)
+        data = np.empty((0, width))
+        filled, tail = 0, b""
+        while chunk := raw.read(_PLAIN_BLOCK_BYTES):
+            block = tail + chunk
+            cut = block.rfind(b"\n") + 1
+            block, tail = block[:cut], block[cut:]
+            if not block:
+                continue
+            values = _parse_plain(block, width)
+            if values is None:
+                return None
+            rows = filled + len(values)
+            if rows > len(data):
+                # room for the whole file at the bytes per row read so far
+                projected = rows * (size - start) // (raw.tell() - start - len(tail))
+                data.resize((max(rows, projected * 65 // 64 + 1), width), refcheck=False)
+            data[filled:rows] = values
+            filled = rows
+    if tail:
+        return None
+    data.resize((filled, width), refcheck=False)
+    return data
+
+
+def _parse_plain(block: bytes, width: int) -> np.ndarray | None:
+    """The rows in the whole lines ``block`` as float() reads them; None unless plain."""
+    rows = block.count(b"\n")
+    if block.translate(None, _PLAIN_FIELD_BYTES) != (b"," * (width - 1) + b"\n") * rows:
+        return None
+    fields = block.replace(b"\n", b",")
+    try:
+        with warnings.catch_warnings():
+            # a field not read to its end: numpy 2 raises, numpy 1.x warns
+            warnings.simplefilter("error", DeprecationWarning)
+            longs = np.fromstring(fields, dtype=np.longdouble, sep=",")
+    except (ValueError, DeprecationWarning):
+        return None
+    if longs.size != rows * width:
+        return None
+    with np.errstate(over="ignore"):
+        values = longs.astype(float)
+    # strtold rounds the decimal correctly to 64 bits, and every float64
+    # midpoint is a 64-bit value, so rounding that on to float64 gives what
+    # float() gives unless the long double lies on a midpoint (its low 11
+    # significand bits read 0x400) or float64 rounds it on the coarser grid
+    # at and below its least normal value. Those fields, zeros aside, are
+    # read again.
+    again = np.flatnonzero(((longs.view(np.uint64)[::2] & 0x7FF) == 0x400)
+                           | (np.abs(values) <= _FLOAT64_TINY))
+    again = again[longs[again] != 0]
+    if again.size:
+        ends = np.flatnonzero(np.frombuffer(fields, np.uint8) == ord(","))
+        for i in again.tolist():
+            values[i] = float(fields[ends[i - 1] + 1 if i else 0:ends[i]])
+    return values.reshape(rows, width)
 
 
 def _holds_loadtxt_only_space(path) -> bool:
@@ -462,27 +556,35 @@ def _cmd_experiment(args) -> int:
     # into their files.
     grid = np.array(list(map(repr, rows[0].reports[0].derivative.t.tolist())), dtype="S")
     runs = [(row.delta, rep) for row in rows for rep in row.reports]
+    run_paths = [outdir / f"example{args.example}_delta{fmt(delta)}_seed{rep.seed}.csv"
+                 for delta, rep in runs]
+    table_path = outdir / f"example{args.example}_table.csv"
+    plot_path = outdir / f"example{args.example}_plot.csv"
+    # A directory where a file goes fails its rename; find it before any
+    # file is written, so a failed call leaves no run file behind.
+    for path in [*run_paths, table_path, plot_path]:
+        if os.path.isdir(path) and not os.path.islink(path):
+            raise _cannot_write(path, OSError(errno.EISDIR, os.strerror(errno.EISDIR)))
     per_text = max(1, CSV_BLOCK_ROWS // len(grid))
     for start in range(0, len(runs), per_text):
         batch = runs[start:start + per_text]
         text = _csv_text(None, [np.tile(grid, len(batch)),
                                 np.concatenate([rep.derivative.values for _, rep in batch])])
-        for (delta, rep), part in zip(batch, _cut_rows(text, len(grid))):
-            name = f"example{args.example}_delta{fmt(delta)}_seed{rep.seed}.csv"
-            _atomic_write(outdir / name, "t,dy\n" + part)
+        for path, part in zip(run_paths[start:start + per_text], _cut_rows(text, len(grid))):
+            _atomic_write(path, "t,dy\n" + part)
 
     header = ["delta", "alpha", "seed_count",
               "median_max_error_full", "median_max_error_interior"]
     columns = [np.array([getattr(row, name) for row in rows]) for name in header]
     columns[2] = list(map(str, columns[2].tolist()))  # seed counts print as integers
     table_text = _csv_text(header, columns)
-    _atomic_write(outdir / f"example{args.example}_table.csv", table_text)
+    _atomic_write(table_path, table_text)
     sys.stdout.write(table_text)
 
     # the first run of the first noisiest delta
     plot_report = max(rows, key=lambda row: row.delta).reports[0]
     err = np.abs(plot_report.derivative.values - plot_report.exact_derivative.values)
-    _atomic_write(outdir / f"example{args.example}_plot.csv",
+    _atomic_write(plot_path,
                   _csv_text(["t", "exact", "computed", "error"],
                             [grid,
                              plot_report.exact_derivative.values,
@@ -582,7 +684,17 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError as exc:
+        # Whatever reads stdout has closed it. Point the descriptor at devnull,
+        # so that the interpreter's last flush of the buffer fails no more.
+        with contextlib.suppress(OSError, ValueError):
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        return _fail(f"cannot write stdout: {exc.strerror}", EXIT_USAGE)
     except SingularSystem as exc:
         return _fail(str(exc), EXIT_SINGULAR)
     except _CsvError as exc:

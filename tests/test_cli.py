@@ -1,13 +1,16 @@
 """End-to-end tests for the command-line interface."""
 
+import decimal
 import gzip
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 import tracemalloc
 import warnings
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -121,12 +124,16 @@ def volterra_payload(n=33):
     }
 
 
+def package_env():
+    """The environment with this checkout's package on the path."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def fresh_interpreter(*args, check=True, cwd=None):
     """Run a new interpreter on ``args`` with this checkout's package on the path."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, *args], env=env, check=check, cwd=cwd,
+    return subprocess.run([sys.executable, *args], env=package_env(), check=check, cwd=cwd,
                           capture_output=True, text=True)
 
 
@@ -221,6 +228,29 @@ def csv_texts(draw):
         out.append(line)
     sep = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     return sep.join(out) + (sep if draw(st.booleans()) else "")
+
+
+# The plain reader runs only where np.longdouble is the x87 80-bit format.
+X87 = cli._long_double_is_x87()
+x87_only = pytest.mark.skipif(not X87, reason="np.longdouble is not the x87 format")
+
+
+def takes_plain_reader(rows):
+    """Whether data ``rows`` of a t,y file are read by the plain reader here."""
+    return X87 and " " not in rows
+
+
+def record_plain_reads(monkeypatch):
+    """A list that collects what every call of the plain reader returns."""
+    results = []
+    read_plain = cli._read_plain
+
+    def recording(*args):
+        results.append(read_plain(*args))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "_read_plain", recording)
+    return results
 
 
 def record_loadtxt_sources(monkeypatch):
@@ -325,8 +355,9 @@ class TestCsvReader:
             raise AssertionError("fell back to the line loop")
         monkeypatch.setattr(cli, "_parse_rows", line_loop_not_wanted)
 
-    def test_benchmark_shaped_file_takes_the_path_reader(self, tmp_path, monkeypatch,
-                                                         no_line_loop):
+    @x87_only
+    def test_benchmark_shaped_file_takes_the_plain_reader(self, tmp_path, monkeypatch,
+                                                          no_line_loop):
         t = np.linspace(0.0, 3.0, 2000)
         y = np.sin(t) + 1e-3 * np.random.default_rng(0).standard_normal(t.size)
         path = tmp_path / "in.csv"
@@ -334,9 +365,12 @@ class TestCsvReader:
                    header="t,y", comments="")
         sources = record_loadtxt_sources(monkeypatch)
         header, data = read_csv_columns(path)
-        assert sources == [str(path)]
+        assert sources == []
         assert header == ["t", "y"]
         assert data.tobytes() == np.column_stack([t, y]).tobytes()
+        monkeypatch.setattr(cli, "_long_double_is_x87", lambda: False)
+        assert read_csv_columns(path)[1].tobytes() == data.tobytes()
+        assert sources == [str(path)]
 
     @pytest.mark.parametrize("sep", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
     def test_blank_lines_before_the_header_take_the_path_reader(self, tmp_path, monkeypatch,
@@ -375,30 +409,39 @@ class TestCsvReader:
         assert err.startswith(f"error: malformed CSV: cannot read {path}: ")
         assert err.count("\n") == 1
 
-    def test_url_like_relative_path_reads_from_disk(self, tmp_path, monkeypatch):
+    # A plain file takes the plain reader, which opens the path as given; a
+    # padded one takes np.loadtxt on the path, and numpy must open that file too.
+    plain_or_padded = pytest.mark.parametrize(
+        "rows", ["0,{}\n0.5,{}\n", " 0 , {} \n 0.5 , {} \n"], ids=["plain", "padded"])
+
+    @plain_or_padded
+    def test_url_like_relative_path_reads_from_disk(self, tmp_path, monkeypatch, rows):
         # numpy would fetch "http://localhost/in.csv"; it is a file under
         # the directories "http:" and "localhost"
         (tmp_path / "http:" / "localhost").mkdir(parents=True)
         path = tmp_path / "http:" / "localhost" / "in.csv"
-        path.write_text("t,y\n0,1\n0.5,2\n")
+        path.write_text("t,y\n" + rows.format(1, 2))
         monkeypatch.chdir(tmp_path)
         sources = record_loadtxt_sources(monkeypatch)
         assert csv_outcome(read_csv_columns, "http://localhost/in.csv") == \
-            csv_outcome(read_csv_by_lines, path)
-        assert sources == [os.path.join(str(tmp_path), "http://localhost/in.csv")]
+            (["t", "y"], (2, 2), np.array([[0, 1], [0.5, 2]]).tobytes())
+        joined = os.path.join(str(tmp_path), "http://localhost/in.csv")
+        assert sources == ([] if takes_plain_reader(rows) else [joined])
 
-    def test_dotdot_after_a_symlink_reads_the_opened_file(self, tmp_path, monkeypatch):
+    @plain_or_padded
+    def test_dotdot_after_a_symlink_reads_the_opened_file(self, tmp_path, monkeypatch, rows):
         # "link/../in.csv" is real/in.csv to the OS; normalized it would be work/in.csv
         (tmp_path / "real" / "sub").mkdir(parents=True)
         (tmp_path / "work").mkdir()
         (tmp_path / "work" / "link").symlink_to(tmp_path / "real" / "sub")
-        (tmp_path / "real" / "in.csv").write_text("t,y\n0,1\n0.5,2\n")
-        (tmp_path / "work" / "in.csv").write_text("t,y\n0,7\n0.5,8\n")
+        (tmp_path / "real" / "in.csv").write_text("t,y\n" + rows.format(1, 2))
+        (tmp_path / "work" / "in.csv").write_text("t,y\n" + rows.format(7, 8))
         monkeypatch.chdir(tmp_path / "work")
         sources = record_loadtxt_sources(monkeypatch)
         header, data = read_csv_columns("link/../in.csv")
         assert data.tolist() == [[0.0, 1.0], [0.5, 2.0]]
-        assert isinstance(sources[0], str)
+        assert [isinstance(source, str) for source in sources] == \
+            ([] if takes_plain_reader(rows) else [True])
 
     def test_undecodable_byte_past_the_first_chunk_exits_2(self, tmp_path, capsys):
         # the header decodes; numpy's own read meets the bad byte
@@ -409,6 +452,181 @@ class TestCsvReader:
         err = capsys.readouterr().err
         assert err.startswith(f"error: malformed CSV: cannot read {path}: ")
         assert err.count("\n") == 1
+
+    def readers_taken(self, monkeypatch, path):
+        """The outcome of reading ``path``, and the readers after the plain one it took."""
+        taken = []
+        loadtxt, parse_rows = np.loadtxt, cli._parse_rows
+
+        def recording_loadtxt(source, *args, **kwargs):
+            taken.append("path" if isinstance(source, str) else "stripped lines")
+            return loadtxt(source, *args, **kwargs)
+
+        def recording_parse_rows(*args):
+            taken.append("line loop")
+            return parse_rows(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "loadtxt", recording_loadtxt)
+            patch.setattr(cli, "_parse_rows", recording_parse_rows)
+            return csv_outcome(read_csv_columns, path), taken
+
+    @pytest.mark.parametrize("text", [
+        "t,y\r\n0,1\r\n0.5,2\r\n",
+        "t,y\n0, 1\n0.5,2\n",
+        "t,y\n0,1\n  \n0.5,2\n",
+        "t,y\n0,1\n\n0.5,2\n",
+        "t,y\n0,1\n0.5,\x1c2\n",
+        "t,y\n0,1_0\n0.5,2\n",
+        "t,y\n0,1,2\n3\n",
+    ], ids=["crlf", "padded", "whitespace-only-line", "blank-line", "x1c", "underscore",
+            "balanced-field-counts"])
+    def test_what_the_plain_reader_rejects_takes_the_readers_it_took_before(
+            self, tmp_path, monkeypatch, text):
+        path = tmp_path / "in.csv"
+        path.write_bytes(text.encode())
+        plain = record_plain_reads(monkeypatch)
+        taken = self.readers_taken(monkeypatch, path)
+        assert plain == [None]
+        assert taken[0] == csv_outcome(read_csv_by_lines, path)
+        monkeypatch.setattr(cli, "_long_double_is_x87", lambda: False)
+        assert self.readers_taken(monkeypatch, path) == taken
+
+    def test_balanced_field_counts_name_the_first_ragged_line(self, tmp_path, capsys):
+        path = tmp_path / "in.csv"
+        path.write_text("t,y\n0,1,2\n3\n")
+        assert main(["differentiate", str(path), "--alpha", "0.1"]) == 2
+        assert capsys.readouterr().err == \
+            "error: malformed CSV: line 2: expected 2 fields, got 3\n"
+
+    def test_without_x87_long_double_a_plain_file_takes_the_path_reader(
+            self, tmp_path, monkeypatch, no_line_loop):
+        monkeypatch.setattr(cli, "_long_double_is_x87", lambda: False)
+        path = tmp_path / "in.csv"
+        path.write_text("t,y\n0,1\n0.5,2\n")
+        sources = record_loadtxt_sources(monkeypatch)
+        assert csv_outcome(read_csv_columns, path) == csv_outcome(read_csv_by_lines, path)
+        assert sources == [str(path)]
+
+
+def float64_midpoints(values):
+    """Decimal texts of the midpoint above each finite ``value``, and of its
+    neighbours 1e-30 (relative) below and above."""
+    texts = []
+    with decimal.localcontext(prec=2000):
+        for x in map(float, values):
+            above = math.nextafter(x, math.inf)
+            mid = (Decimal(x) + (Decimal(2) ** 1024 if math.isinf(above) else Decimal(above))) / 2
+            texts += [str(mid * (1 + step)) for step in (0, Decimal("-1e-30"), Decimal("1e-30"))]
+    return texts
+
+
+def assert_reads_as_float(tmp_path, fields, width=1):
+    """The plain reader reads ``fields``, laid out ``width`` to a line, as float() does."""
+    fields = fields + ["0"] * (-len(fields) % width)
+    path = tmp_path / "plain.csv"
+    path.write_text(",".join("xyz"[:width]) + "\n" + "".join(
+        ",".join(fields[i:i + width]) + "\n" for i in range(0, len(fields), width)))
+    data = cli._read_plain(path, 1, width)
+    assert data is not None and data.shape == (len(fields) // width, width)
+    expected = np.array([float(field) for field in fields])
+    wrong = np.flatnonzero(data.ravel().view(np.uint64) != expected.view(np.uint64))
+    assert [fields[i] for i in wrong] == []
+
+
+@x87_only
+class TestPlainReader:
+    """The plain reader gives what float() gives, bit for bit."""
+
+    SPECIAL = [5e-324, 2 * 5e-324, 2.2250738585072014e-308 - 5e-324, 2.2250738585072014e-308,
+               1.0, 0.1, 1 / 3, 1e22, 1e23, 9007199254740992.0, 1.7976931348623157e308]
+
+    def test_midpoints_and_their_neighbours(self, tmp_path):
+        rng = np.random.default_rng(14)
+        values = np.concatenate([self.SPECIAL, rng.standard_normal(300),
+                                 np.ldexp(rng.random(300) + 1, rng.integers(-1074, 1024, 300))])
+        values = np.concatenate([values, -values, np.nextafter(values, -np.inf)])
+        fields = float64_midpoints(values)
+        assert_reads_as_float(tmp_path, fields)
+
+    def test_midpoints_are_read_again(self, tmp_path):
+        # a cast of the long double alone would round the exact midpoints to even
+        fields = float64_midpoints([1.0, 3.0, 2.2250738585072014e-308 - 5e-324])
+        longs = np.fromstring(",".join(fields).encode(), dtype=np.longdouble, sep=",")
+        with np.errstate(over="ignore"):
+            cast = longs.astype(float)
+        assert (cast != [float(f) for f in fields]).any()
+        assert_reads_as_float(tmp_path, fields)
+
+    def test_long_mantissas(self, tmp_path):
+        rng = np.random.default_rng(15)
+        fields = ["".join(map(str, rng.integers(0, 10, rng.integers(20, 41))))
+                  + f"e{rng.integers(-345, 310)}" for _ in range(2000)]
+        fields = [("-" if i % 2 else "") + f[0] + "." + f[1:] for i, f in enumerate(fields)]
+        assert_reads_as_float(tmp_path, fields)
+
+    def test_subnormals_underflow_and_short_forms(self, tmp_path):
+        rng = np.random.default_rng(16)
+        subnormals = np.ldexp(rng.integers(1, 2 ** 52, 500).astype(float), -1074)
+        subnormals = subnormals.tolist()
+        fields = [repr(x) for x in subnormals] + ["%.25e" % x for x in subnormals] + [
+            "4.9e-324", "2.4703282292062327e-324", "2.4703282292062328e-324", "1e-400",
+            "-1e-400", "1e-5000", "2.2250738585072011e-308", "2.2250738585072012e-308",
+            "-0", "0", "-0.0", ".5", "5.", "+5", "-.5e-3", "007", "1E5", "1e+05"]
+        assert_reads_as_float(tmp_path, fields)
+
+    def test_overflow_reads_as_inf(self, tmp_path):
+        assert_reads_as_float(tmp_path, ["1e999", "-1e999", "1.7976931348623158e308",
+                                         "1.7976931348623159e308", "1e5000"])
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(bits=st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=40),
+           width=st.integers(1, 3))
+    def test_any_float64_printed_three_ways(self, tmp_path, bits, width):
+        values = np.array(bits, dtype=np.uint64).view(np.float64)
+        fields = [style(float(x)) for x in values[np.isfinite(values)]
+                  for style in (repr, "%.17g".__mod__, "%.25e".__mod__)]
+        if fields:
+            assert_reads_as_float(tmp_path, fields, width)
+
+    @pytest.mark.parametrize("block_bytes", [1, 7, 64, 4096])
+    def test_any_block_size_reads_the_same(self, tmp_path, monkeypatch, block_bytes):
+        # lines cut across blocks are carried over, and the array grows to fit
+        values = np.random.default_rng(block_bytes).standard_normal(3000) * 1e5
+        monkeypatch.setattr(cli, "_PLAIN_BLOCK_BYTES", block_bytes)
+        assert_reads_as_float(tmp_path, list(map(repr, values.tolist())) + ["1", "22", "333"], 2)
+
+    def test_last_line_without_newline_is_left_to_the_other_readers(self, tmp_path):
+        path = tmp_path / "in.csv"
+        path.write_text("t,y\n0,1\n0.5,2")
+        assert cli._read_plain(path, 1, 2) is None
+
+    def test_non_finite_value_names_its_line(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "in.csv"
+        path.write_text("t,y\n0,1\n0.5,2\n1,1e999\n1.5,3\n")
+        plain = record_plain_reads(monkeypatch)
+        assert main(["differentiate", str(path), "--alpha", "0.1"]) == 2
+        assert capsys.readouterr().err == "error: malformed CSV: line 4: non-finite value\n"
+        assert np.isinf(plain[0][2, 1])
+
+    def test_a_numpy_1_warning_falls_through_and_does_not_escape(self, tmp_path, monkeypatch):
+        def warning_fromstring(*args, **kwargs):
+            warnings.warn("string or file could not be read to its end due to unmatched "
+                          "data; this will raise a ValueError in the future.",
+                          DeprecationWarning, stacklevel=2)
+            return np.zeros(1, dtype=np.longdouble)
+
+        path = tmp_path / "in.csv"
+        path.write_text("t,y\n0,1\n0.5,2\n")
+        monkeypatch.setattr(np, "fromstring", warning_fromstring)
+        sources = record_loadtxt_sources(monkeypatch)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli._read_plain(path, 1, 2) is None
+            assert csv_outcome(read_csv_columns, path) == csv_outcome(read_csv_by_lines, path)
+        assert caught == []
+        assert sources == [str(path)]
 
 
 class TestDifferentiate:
@@ -1319,6 +1537,35 @@ class TestErrorMap:
                     + ["--out", str(tmp_path / "results")]) == 2
         assert capsys.readouterr() == ("", f"error: cannot write {table}: Is a directory\n")
         assert not list(table.parent.glob("example1_table.csv.*"))
+
+    @pytest.mark.parametrize("name", ["example1_table.csv", "example1_plot.csv",
+                                      "example1_delta0.1_seed43.csv"])
+    def test_experiment_writes_nothing_when_a_directory_stands_in_the_way(
+            self, tmp_path, capsys, name):
+        results = tmp_path / "results"
+        (results / name).mkdir(parents=True)
+        assert main(["experiment", "--example", "1", "--deltas", "0.1", "--seeds", "2",
+                     "--n", "16", "--out", str(results)]) == 2
+        assert capsys.readouterr() == ("", f"error: cannot write {results / name}: "
+                                           "Is a directory\n")
+        assert [p.name for p in results.iterdir()] == [name]
+
+    def test_closed_stdout_exits_2_with_one_line(self, tmp_path):
+        t = np.linspace(0.0, 1.0, 20000)
+        path = write_csv(tmp_path / "in.csv", t, np.sin(t))
+        proc = subprocess.Popen([sys.executable, "-m", "perturbreg.cli", "differentiate",
+                                 str(path), "--alpha", "0.1"], env=package_env(),
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        try:
+            first = proc.stdout.readline()
+        finally:
+            proc.stdout.close()
+            err = proc.stderr.read()
+            proc.stderr.close()
+            proc.wait(timeout=120)
+        assert first == "t,dy,x_alpha\n"
+        assert proc.returncode == 2
+        assert err.splitlines()[1:] == ["error: cannot write stdout: Broken pipe"]
 
     def test_experiment_creates_a_missing_directory(self, tmp_path, capsys):
         out = tmp_path / "missing" / "results"
