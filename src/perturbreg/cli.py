@@ -14,17 +14,15 @@ recovers the exact binary values. CSV floats get those bytes from the
 vectorized formatter in ``_floatfmt``, a block of rows at a time, not from
 one ``repr`` call per value.
 
-CSV input takes the first of four readers that accepts it: the plain
-reader, ``np.loadtxt`` on the file's path (numpy reads it in chunks, in C),
-``np.loadtxt`` on the stripped lines (whitespace-only lines), and
+CSV input takes the first of three readers that accepts it: the plain
+reader, ``np.loadtxt`` on the stripped lines after the header, and
 ``float()`` per field (the rest, with line-numbered errors). The plain
 reader runs only where ``np.longdouble`` is the x87 80-bit format, and
 takes only lines of digits, '.', 'e', 'E', '+' and '-' joined by ',' and
 each ended by '\\n': numpy's long-double text parser (C ``strtold``) reads
 them, and each value is rounded on to float64, exactly as ``float()``
-reads it. A path ending in ``.gz``, ``.bz2``, ``.xz`` or ``.lzma`` skips
-the second, which would decompress it, and a relative path reaches numpy
-made absolute, since numpy fetches a URL-like string.
+reads it. numpy is handed lines, never a file name, so it neither
+decompresses by suffix nor fetches a URL-like path.
 """
 
 from __future__ import annotations
@@ -92,10 +90,11 @@ def _atomic_open(path):
     """A text file for writing at ``path``; it appears, whole, when the block ends.
 
     Temp file in the destination directory, then rename: readers never see a
-    half-written file, and two identical runs leave identical bytes. On an
-    error the temp file is removed and ``path`` is left as it was; an
-    OSError on the way (no such directory, a file in the way, a full disk)
-    becomes ``cannot write <path>``.
+    half-written file, and two identical runs leave identical bytes. The
+    file gets the mode ``open(path, "w")`` would give it, 0666 less the
+    umask, not the temp file's 0600. On an error the temp file is removed
+    and ``path`` is left as it was; an OSError on the way (no such
+    directory, a file in the way, a full disk) becomes ``cannot write <path>``.
     """
     target = Path(path)
     try:
@@ -105,6 +104,9 @@ def _atomic_open(path):
     try:
         with os.fdopen(fd, "w") as fh:
             yield fh
+        umask = os.umask(0)  # the only way to read it is to set it
+        os.umask(umask)
+        os.chmod(tmp_name, 0o666 & ~umask)
         os.replace(tmp_name, target)
     except BaseException as exc:
         with contextlib.suppress(OSError):
@@ -202,8 +204,6 @@ class _CsvError(Exception):
 # loadtxt strips these around a field as whitespace; float() rejects them.
 _LOADTXT_ONLY_SPACE = b"\x1c\x1d\x1e\x1f"
 _SCAN_BYTES = 1 << 20
-# numpy's file reader decompresses a path that ends in one of these.
-_NUMPY_UNPACKS = (".gz", ".bz2", ".xz", ".lzma")
 # The bytes of a field _read_plain parses, and the bytes it reads at a time.
 _PLAIN_FIELD_BYTES = b"0123456789.eE+-"
 _PLAIN_BLOCK_BYTES = 1 << 18
@@ -246,24 +246,18 @@ def _read_csv(fh, path) -> tuple[list[str], np.ndarray]:
     # Plain decimal fields take _read_plain, and other well-formed input one
     # np.loadtxt call. loadtxt converts each field with the interpreter's own
     # PyOS_string_to_double, and strips the whitespace str.strip does around
-    # it, so the values it accepts are the ones float() gives. Four tiers:
+    # it, so the values it accepts are the ones float() gives. Three tiers:
     # 1. _read_plain, where np.longdouble is the x87 format and every line
     #    after the header is plain fields joined by ',' and ended by '\n'.
-    # 2. loadtxt on the path (see _numpy_path), past the ``skip`` lines that
-    #    end at the header. It rejects a whitespace-only line.
-    # 3. loadtxt on the stripped lines after the header, where such a line
-    #    is empty and skipped, as a blank one is.
-    # 4. The line loop, for what loadtxt rejects (also '1_0' or non-ASCII
+    # 2. loadtxt on the stripped lines after the header, where a
+    #    whitespace-only line is empty and skipped, as a blank one is.
+    # 3. The line loop, for what loadtxt rejects (also '1_0' or non-ASCII
     #    digits, which float() takes) and a file holding a byte of
     #    _LOADTXT_ONLY_SPACE.
     data = _read_plain(path, skip, len(header))
     if data is None and not _holds_loadtxt_only_space(path):
-        path_for_numpy = _numpy_path(path)
-        if path_for_numpy is not None:
-            data = _loadtxt(path_for_numpy, skip, fh.encoding)
-        if data is None:
-            fh.seek(start)
-            data = _loadtxt(map(str.strip, fh), 0, fh.encoding)
+        fh.seek(start)
+        data = _loadtxt(map(str.strip, fh))
     if data is None or data.shape[1] != len(header) or not np.isfinite(data).all():
         fh.seek(0)
         data = _parse_rows(list(map(str.strip, fh.read().split("\n"))), len(header))
@@ -362,25 +356,13 @@ def _holds_loadtxt_only_space(path) -> bool:
                    for byte in _LOADTXT_ONLY_SPACE)
 
 
-def _numpy_path(path) -> str | None:
-    """``path`` as np.loadtxt may read it, or None when it must not.
+def _loadtxt(lines) -> np.ndarray | None:
+    """The float rows np.loadtxt reads from the str ``lines``, or None when it rejects them.
 
-    numpy's datasource decompresses by suffix, and fetches a URL-like string
-    (``http://host/in.csv`` can be a relative path) from the network. A path
-    led by the working directory has no URL scheme; joined, not normalized,
-    its '..' still means what it means to the open file.
+    Lines that are str are not decoded, so loadtxt needs no encoding.
     """
-    path = os.fspath(path)
-    if not isinstance(path, str) or path.lower().endswith(_NUMPY_UNPACKS):
-        return None
-    return path if os.path.isabs(path) else os.path.join(os.getcwd(), path)
-
-
-def _loadtxt(source, skip: int, encoding: str) -> np.ndarray | None:
-    """The float rows np.loadtxt reads from ``source``, or None when it rejects them."""
     try:
-        return np.loadtxt(source, delimiter=",", comments=None, dtype=float, ndmin=2,
-                          skiprows=skip, encoding=encoding)
+        return np.loadtxt(lines, delimiter=",", comments=None, dtype=float, ndmin=2)
     except UnicodeDecodeError:  # a ValueError, but the file cannot be read at all
         raise
     except ValueError:
@@ -538,10 +520,6 @@ def _cmd_experiment(args) -> int:
         return _fail(f"--seed (or ${SEED_ENV_VAR}) must be >= 0, got {seed}", EXIT_USAGE)
 
     outdir = Path(args.out)
-    try:
-        outdir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise _cannot_write(args.out, exc) from exc
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", AlphaTooSmall)
         rows = convergence_study(args.example, deltas,
@@ -561,10 +539,16 @@ def _cmd_experiment(args) -> int:
     table_path = outdir / f"example{args.example}_table.csv"
     plot_path = outdir / f"example{args.example}_plot.csv"
     # A directory where a file goes fails its rename; find it before any
-    # file is written, so a failed call leaves no run file behind.
+    # file is written, so a failed call leaves no run file behind. The
+    # directory is made after the study and these checks, so a call that
+    # fails in them leaves no directory either.
     for path in [*run_paths, table_path, plot_path]:
         if os.path.isdir(path) and not os.path.islink(path):
             raise _cannot_write(path, OSError(errno.EISDIR, os.strerror(errno.EISDIR)))
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _cannot_write(args.out, exc) from exc
     per_text = max(1, CSV_BLOCK_ROWS // len(grid))
     for start in range(0, len(runs), per_text):
         batch = runs[start:start + per_text]

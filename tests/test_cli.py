@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -142,6 +143,20 @@ def run_in_fresh_interpreter(code):
     return fresh_interpreter("-c", code)
 
 
+@pytest.fixture(params=[0o022, 0o077], ids=["umask022", "umask077"])
+def umask(request):
+    """The process umask, set to each value in turn and restored after the test."""
+    before = os.umask(request.param)
+    try:
+        yield request.param
+    finally:
+        os.umask(before)
+
+
+def file_mode(path):
+    return stat.S_IMODE(os.stat(path).st_mode)
+
+
 class TestFloatFormat:
     def test_round_trips_exactly(self):
         for x in (0.1, 1.0 / 3.0, 1e-17, 123456.789, -0.0):
@@ -266,14 +281,29 @@ def record_loadtxt_sources(monkeypatch):
     return sources
 
 
+def numpy_inputs(sources):
+    """What each recorded np.loadtxt call was given: a "file name" or "lines"."""
+    return ["file name" if isinstance(source, (str, bytes, os.PathLike)) else "lines"
+            for source in sources]
+
+
+def assert_reads_as_line_loop(monkeypatch, path):
+    """Read ``path`` as the line loop does; numpy gets lines only, at most once."""
+    with monkeypatch.context() as patch:
+        sources = record_loadtxt_sources(patch)
+        outcome = csv_outcome(read_csv_columns, path)
+    assert outcome == csv_outcome(read_csv_by_lines, path)
+    assert numpy_inputs(sources) in ([], ["lines"])
+
+
 class TestCsvReader:
     @settings(max_examples=400, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(text=csv_texts())
-    def test_matches_line_loop(self, tmp_path, text):
+    def test_matches_line_loop(self, tmp_path, monkeypatch, text):
         path = tmp_path / "in.csv"
         path.write_text(text)
-        assert csv_outcome(read_csv_columns, path) == csv_outcome(read_csv_by_lines, path)
+        assert_reads_as_line_loop(monkeypatch, path)
 
     @pytest.mark.parametrize("text", [
         "t,y\n0,1\n",  # one data row
@@ -294,10 +324,10 @@ class TestCsvReader:
         "t,y\n0,1\n0.5,\x852\n1,3\n", "t,y\n0,1\n0.5,\u20282\n1,3\n",
         "t,y\n0,1\n0.5,\x1c2\n1,3\n",  # numpy strips it, float() does not
     ])
-    def test_matches_line_loop_on_named_cases(self, tmp_path, text):
+    def test_matches_line_loop_on_named_cases(self, tmp_path, monkeypatch, text):
         path = tmp_path / "in.csv"
         path.write_text(text)
-        assert csv_outcome(read_csv_columns, path) == csv_outcome(read_csv_by_lines, path)
+        assert_reads_as_line_loop(monkeypatch, path)
 
     @pytest.mark.parametrize("text, message", [
         ("t,y\n\n0,1\n1,x\n", "line 4: could not convert string to float: 'x'"),
@@ -347,7 +377,7 @@ class TestCsvReader:
         assert err.startswith(f"error: malformed CSV: cannot read {path}: ")
         assert err.count("\n") == 1
 
-    # Which of the three readers a file takes: numpy on the path, numpy on
+    # Which of the three readers a file takes: the plain reader, numpy on the
     # stripped lines, or the line loop.
     @pytest.fixture
     def no_line_loop(self, monkeypatch):
@@ -370,17 +400,17 @@ class TestCsvReader:
         assert data.tobytes() == np.column_stack([t, y]).tobytes()
         monkeypatch.setattr(cli, "_long_double_is_x87", lambda: False)
         assert read_csv_columns(path)[1].tobytes() == data.tobytes()
-        assert sources == [str(path)]
+        assert numpy_inputs(sources) == ["lines"]
 
     @pytest.mark.parametrize("sep", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
-    def test_blank_lines_before_the_header_take_the_path_reader(self, tmp_path, monkeypatch,
-                                                                no_line_loop, sep):
+    def test_blank_lines_before_the_header_take_the_stripped_lines(
+            self, tmp_path, monkeypatch, no_line_loop, sep):
         path = tmp_path / "in.csv"
         path.write_bytes(sep.join(["", "  ", "\t", " t , y ", "0,1", "0.5,2", "1,3"]).encode())
         expected = csv_outcome(read_csv_by_lines, path)
         sources = record_loadtxt_sources(monkeypatch)
         assert csv_outcome(read_csv_columns, path) == expected
-        assert sources == [str(path)]
+        assert numpy_inputs(sources) == ["lines"]
 
     def test_whitespace_only_data_line_takes_the_stripped_lines(self, tmp_path, monkeypatch,
                                                                no_line_loop):
@@ -388,7 +418,7 @@ class TestCsvReader:
         path.write_text("t,y\n0,1\n  \n0.5,2\n")
         sources = record_loadtxt_sources(monkeypatch)
         assert csv_outcome(read_csv_columns, path) == csv_outcome(read_csv_by_lines, path)
-        assert sources[0] == str(path) and not isinstance(sources[1], str)
+        assert numpy_inputs(sources) == ["lines"]
 
     @pytest.mark.parametrize("name", ["in.csv.gz", "in.csv.bz2", "in.csv.xz", "in.CSV.LZMA"])
     def test_plain_text_with_a_compressed_suffix_reads_as_text(self, tmp_path, monkeypatch,
@@ -409,8 +439,8 @@ class TestCsvReader:
         assert err.startswith(f"error: malformed CSV: cannot read {path}: ")
         assert err.count("\n") == 1
 
-    # A plain file takes the plain reader, which opens the path as given; a
-    # padded one takes np.loadtxt on the path, and numpy must open that file too.
+    # A plain file takes the plain reader, a padded one np.loadtxt on its
+    # lines; both read the file the path names to the OS.
     plain_or_padded = pytest.mark.parametrize(
         "rows", ["0,{}\n0.5,{}\n", " 0 , {} \n 0.5 , {} \n"], ids=["plain", "padded"])
 
@@ -425,8 +455,7 @@ class TestCsvReader:
         sources = record_loadtxt_sources(monkeypatch)
         assert csv_outcome(read_csv_columns, "http://localhost/in.csv") == \
             (["t", "y"], (2, 2), np.array([[0, 1], [0.5, 2]]).tobytes())
-        joined = os.path.join(str(tmp_path), "http://localhost/in.csv")
-        assert sources == ([] if takes_plain_reader(rows) else [joined])
+        assert numpy_inputs(sources) == ([] if takes_plain_reader(rows) else ["lines"])
 
     @plain_or_padded
     def test_dotdot_after_a_symlink_reads_the_opened_file(self, tmp_path, monkeypatch, rows):
@@ -440,8 +469,7 @@ class TestCsvReader:
         sources = record_loadtxt_sources(monkeypatch)
         header, data = read_csv_columns("link/../in.csv")
         assert data.tolist() == [[0.0, 1.0], [0.5, 2.0]]
-        assert [isinstance(source, str) for source in sources] == \
-            ([] if takes_plain_reader(rows) else [True])
+        assert numpy_inputs(sources) == ([] if takes_plain_reader(rows) else ["lines"])
 
     def test_undecodable_byte_past_the_first_chunk_exits_2(self, tmp_path, capsys):
         # the header decodes; numpy's own read meets the bad byte
@@ -459,7 +487,7 @@ class TestCsvReader:
         loadtxt, parse_rows = np.loadtxt, cli._parse_rows
 
         def recording_loadtxt(source, *args, **kwargs):
-            taken.append("path" if isinstance(source, str) else "stripped lines")
+            taken.append("stripped lines")
             return loadtxt(source, *args, **kwargs)
 
         def recording_parse_rows(*args):
@@ -499,14 +527,14 @@ class TestCsvReader:
         assert capsys.readouterr().err == \
             "error: malformed CSV: line 2: expected 2 fields, got 3\n"
 
-    def test_without_x87_long_double_a_plain_file_takes_the_path_reader(
+    def test_without_x87_long_double_a_plain_file_takes_the_stripped_lines(
             self, tmp_path, monkeypatch, no_line_loop):
         monkeypatch.setattr(cli, "_long_double_is_x87", lambda: False)
         path = tmp_path / "in.csv"
         path.write_text("t,y\n0,1\n0.5,2\n")
         sources = record_loadtxt_sources(monkeypatch)
         assert csv_outcome(read_csv_columns, path) == csv_outcome(read_csv_by_lines, path)
-        assert sources == [str(path)]
+        assert numpy_inputs(sources) == ["lines"]
 
 
 def float64_midpoints(values):
@@ -626,7 +654,7 @@ class TestPlainReader:
             assert cli._read_plain(path, 1, 2) is None
             assert csv_outcome(read_csv_columns, path) == csv_outcome(read_csv_by_lines, path)
         assert caught == []
-        assert sources == [str(path)]
+        assert numpy_inputs(sources) == ["lines"]
 
 
 class TestDifferentiate:
@@ -710,6 +738,11 @@ class TestDifferentiate:
             tracemalloc.stop()
         assert code == 0
         assert peak < 4 * src.stat().st_size
+
+    def test_out_file_has_the_mode_open_gives(self, tmp_path, umask):
+        src, out = linear_csv(tmp_path), tmp_path / "out.csv"
+        assert main(["differentiate", str(src), "--alpha", "0.1", "--out", str(out)]) == 0
+        assert file_mode(out) == file_mode(src) == 0o666 & ~umask
 
     def test_no_stray_temp_files(self, tmp_path):
         out = tmp_path / "out.csv"
@@ -1021,6 +1054,11 @@ class TestExperiment:
         assert rows[0, 0] == 0.01
         assert rows[0, 1] == 0.1
         assert rows[0, 2] == 2
+
+    def test_files_have_the_mode_open_gives(self, tmp_path, capsys, umask):
+        outdir = tmp_path / "runs"
+        assert self.run_small(outdir) == 0
+        assert {file_mode(path) for path in outdir.iterdir()} == {0o666 & ~umask}
 
     def test_plot_file_has_error_column(self, tmp_path):
         outdir = tmp_path / "runs"
@@ -1566,6 +1604,14 @@ class TestErrorMap:
         assert first == "t,dy,x_alpha\n"
         assert proc.returncode == 2
         assert err.splitlines()[1:] == ["error: cannot write stdout: Broken pipe"]
+
+    def test_failed_experiment_leaves_no_new_directory(self, tmp_path, capsys):
+        out = tmp_path / "new" / "dir"
+        assert main(["experiment", "--example", "1", "--deltas", "1e308", "--seeds", "2",
+                     "--n", "64", "--out", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "", "error: the noisy samples left the float64 range\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_experiment_creates_a_missing_directory(self, tmp_path, capsys):
         out = tmp_path / "missing" / "results"
