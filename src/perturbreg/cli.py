@@ -53,7 +53,7 @@ from .problems import Problem, load_problem, parse_rule
 from .solve import (
     RegConfig,
     SolveReport,
-    c_alpha_estimate,
+    _c_alpha_estimate,
     coordinate_alpha,
     solve_perturbed,
     stabilization_sweep,
@@ -594,7 +594,7 @@ def _cmd_sweep(args) -> int:
     stab = Stabilizer.scalar_alpha() if problem.basis is None else problem.basis.stabilizer
 
     gaps = [gap for _, gap in stabilization_sweep(op, stab, alphas, problem.exact_solution)]
-    c_est = [c_alpha_estimate(op, stab, alpha) for alpha in alphas]
+    c_est = [_c_alpha_estimate(op, stab, alpha)[0] for alpha in alphas]
     _emit(_csv_text(["alpha", "S", "c_alpha_est", "q_est"],
                     [np.asarray(alphas), np.asarray(gaps), np.asarray(c_est),
                      np.asarray([problem.delta * c for c in c_est])]), args.out)

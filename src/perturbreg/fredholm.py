@@ -163,9 +163,9 @@ def solve_fredholm_regularized(A_tilde: DiscreteOperator, basis: FredholmBasis, 
     exact data they vanish, and they shrink linearly with the data noise, so
     they act as a per-direction consistency diagnostic.
 
-    ``delta`` is only used for the margin q_est = delta * c_alpha_est; the
-    stabilizer itself does not depend on it. With ``x_star`` the report
-    carries the observed error.
+    ``delta`` is only used for the margins q_est = delta * c_alpha_est and
+    q_sup = delta * c_sup; the stabilizer itself does not depend on it. With
+    ``x_star`` the report carries the observed error.
 
     Raises
     ------
@@ -176,6 +176,6 @@ def solve_fredholm_regularized(A_tilde: DiscreteOperator, basis: FredholmBasis, 
     rhs = project_rhs(f_tilde, basis)
     x, assembled = _solve_stabilized(A_tilde, stab, 1.0, rhs)
     residual = float(np.max(np.abs(assembled @ x - rhs)))
-    c_est = _c_alpha_estimate(A_tilde, stab, 1.0, assembled)
-    return _report(x, residual, c_est, delta, q_max, x_star=x_star,
+    c_est, c_sup = _c_alpha_estimate(A_tilde, stab, 1.0, assembled)
+    return _report(x, residual, c_est, c_sup, delta, q_max, x_star=x_star,
                    selection=basis.gammas @ x)

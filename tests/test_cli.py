@@ -971,7 +971,8 @@ class TestSolve:
         assert main(["solve", str(write_json(tmp_path, self.scalar_payload()))]) == 0
         assert list(json.loads(capsys.readouterr().out)) == [
             "alpha", "delta", "solution", "residual_norm", "c_alpha_est", "q_est",
-            "q_exceeded", "gap", "bound", "bound_components", "observed_error", "selection"]
+            "q_exceeded", "c_sup", "q_sup", "gap", "bound", "bound_components",
+            "observed_error", "selection"]
 
     def test_output_file(self, tmp_path):
         path = write_json(tmp_path, self.scalar_payload())
@@ -1324,7 +1325,7 @@ class TestSweep:
         assert main(["sweep", str(write_json(tmp_path, payload)), "--alphas", "0.3,0.05"]) == 0
         _, rows = read_csv_columns_from_text(capsys.readouterr().out)
         op = DiscreteOperator.dense(m)
-        assert list(rows[:, 2]) == [c_alpha_estimate(op, Stabilizer.scalar_alpha(), a)
+        assert list(rows[:, 2]) == [c_alpha_estimate(op, Stabilizer.scalar_alpha(), a)[0]
                                     for a in (0.3, 0.05)]
 
     def test_dense_output_matches_per_value_format(self, tmp_path, capsys):
@@ -1338,7 +1339,7 @@ class TestSweep:
         assert main(["sweep", str(write_json(tmp_path, payload)),
                      "--alphas", ",".join(map(fmt, alphas))]) == 0
         op, stab = DiscreteOperator.dense(m), Stabilizer.scalar_alpha()
-        c_est = [c_alpha_estimate(op, stab, a) for a in alphas]
+        c_est = [c_alpha_estimate(op, stab, a)[0] for a in alphas]
         assert capsys.readouterr().out == csv_by_value(
             ["alpha", "S", "c_alpha_est", "q_est"],
             [alphas, [stabilization_gap(op, stab, a, x) for a in alphas], c_est,

@@ -208,7 +208,7 @@ class TestSolveFredholmRegularized:
 
     def test_c_alpha_is_the_shared_estimate(self):
         rep = solve_fredholm_regularized(self.A, self.basis, np.array([0.0, 1.0, 1.0]))
-        assert rep.c_alpha_est == c_alpha_estimate(self.A, self.basis.stabilizer, 1.0)
+        assert (rep.c_alpha_est, rep.c_sup) == c_alpha_estimate(self.A, self.basis.stabilizer, 1.0)
 
     def test_observed_error_needs_x_star(self):
         f = np.array([0.0, 1.0, 1.0])

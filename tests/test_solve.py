@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perturbreg import (
     DegenerateDelta,
@@ -191,8 +193,9 @@ class TestSolvePerturbed:
                                x_star=x_star, A_exact=A)
         assert full.gap == pytest.approx(
             stabilization_gap(A, Stabilizer.scalar_alpha(), 0.1, x_star))
+        assert full.q_sup == cfg.delta * full.c_sup
         assert full.bound == pytest.approx(
-            error_bound(full.gap, cfg.delta, full.c_alpha_est, full.q_est, 1.0))
+            error_bound(full.gap, cfg.delta, full.c_sup, full.q_sup, 1.0))
         gap, amp, x_norm = full.bound_components
         assert full.bound == pytest.approx(gap + amp * (1.0 + x_norm + gap))
 
@@ -279,7 +282,8 @@ class TestVolterraWithoutMatrix:
         assert rep.bound is not None
         stabilization_gap(A, Stabilizer.scalar_alpha(), alpha, t)
         stabilization_sweep(A, Stabilizer.scalar_alpha(), [0.1, 0.01], t)
-        assert c_alpha_estimate(A, Stabilizer.scalar_alpha(), alpha) == 2.0 / alpha
+        c_closed = 2.0 / alpha
+        assert c_alpha_estimate(A, Stabilizer.scalar_alpha(), alpha) == (c_closed, c_closed)
 
     def test_non_finite_solution_is_singular(self):
         # f_0 / alpha overflows: reported as a singular system, as a failed
@@ -304,23 +308,73 @@ class TestVolterraWithoutMatrix:
         np.testing.assert_array_equal(rep.solution, expect)
 
 
+def _orthogonal(rng, n):
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    return q * np.sign(np.diag(r))
+
+
 class TestCAlphaEstimate:
-    def test_dense_is_inverse_smallest_singular_value(self):
-        rng = np.random.default_rng(3)
-        m = rng.standard_normal((12, 12))
-        A = DiscreteOperator.dense(m)
-        sigma = np.linalg.svd(m + 0.2 * np.eye(12), compute_uv=False)[-1]
-        assert c_alpha_estimate(A, Stabilizer.scalar_alpha(), 0.2) == 1.0 / sigma
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 40), alpha=st.floats(1e-3, 10.0), seed=st.integers(0, 2**32 - 1))
+    def test_c_sup_is_the_largest_absolute_row_sum_of_the_inverse(self, n, alpha, seed):
+        m = np.random.default_rng(seed).standard_normal((n, n))
+        _, c_sup = c_alpha_estimate(DiscreteOperator.dense(m), Stabilizer.scalar_alpha(), alpha)
+        assert c_sup == np.max(np.abs(np.linalg.inv(m + alpha * np.eye(n))).sum(axis=1))
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 40), alpha=st.floats(1e-3, 1.0), seed=st.integers(0, 2**32 - 1))
+    def test_estimate_never_exceeds_inverse_smallest_singular_value(self, n, alpha, seed):
+        # singular values alpha + [0, 1): a nonsymmetric matrix with condition <= 1/alpha + 1
+        rng = np.random.default_rng(seed)
+        s = alpha + rng.uniform(0.0, 1.0, n)
+        m = (_orthogonal(rng, n) * s) @ _orthogonal(rng, n).T
+        c_est, _ = c_alpha_estimate(DiscreteOperator.dense(m), Stabilizer.scalar_alpha(), 0.0,
+                                    assembled=m)
+        sigma_min = np.linalg.svd(m, compute_uv=False)[-1]
+        assert c_est <= (1.0 / sigma_min) * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("n", [128, 256])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_estimate_on_a_spectrum_clustered_at_its_top(self, n, seed):
+        # the benchmark's symmetric operator, s from 1 down to 1e-3, plus
+        # 0.01 I: the largest singular values of the inverse lie close
+        # together, the slow case for power steps. Measured over n = 64-512
+        # and these seeds: 0.968-0.993 of the exact value.
+        v = _orthogonal(np.random.default_rng(seed), n)
+        a = (v * np.geomspace(1.0, 1e-3, n)) @ v.T
+        c_est, _ = c_alpha_estimate(DiscreteOperator.dense(a), Stabilizer.scalar_alpha(), 0.01)
+        exact = 1.0 / np.linalg.svd(a + 0.01 * np.eye(n), compute_uv=False)[-1]
+        assert 0.96 * exact <= c_est <= exact * (1.0 + 1e-12)
 
     def test_assembled_matrix_reused(self):
+        # inverse [[0.25, -0.125], [0, 0.125]]: largest absolute row sum 0.375
         A = DiscreteOperator.dense(np.diag([1.0, 2.0]))
-        assembled = np.diag([4.0, 8.0])
-        assert c_alpha_estimate(A, Stabilizer.scalar_alpha(), 0.5, assembled) == 0.25
+        assembled = np.array([[4.0, 4.0], [0.0, 8.0]])
+        c_est, c_sup = c_alpha_estimate(A, Stabilizer.scalar_alpha(), 0.5, assembled)
+        assert c_sup == 0.375
+        assert c_est == pytest.approx(1.0 / np.linalg.svd(assembled, compute_uv=False)[-1],
+                                      rel=1e-12)
 
     def test_singular_gives_infinity(self):
         A = DiscreteOperator.dense(np.zeros((2, 2)))
         B = Stabilizer.finite_dim([np.array([1.0, 0.0])], [np.array([1.0, 0.0])])
-        assert c_alpha_estimate(A, B, 1.0) == math.inf
+        assert c_alpha_estimate(A, B, 1.0) == (math.inf, math.inf)
+
+    def test_non_finite_inverse_gives_infinity(self):
+        # a subnormal pivot: the inverse overflows without a singular pivot
+        A = DiscreteOperator.dense(np.diag([1e-320, 1.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert c_alpha_estimate(A, Stabilizer.scalar_alpha(), 1e-320) == (math.inf, math.inf)
+
+    def test_inverse_near_the_float_range_keeps_both_norms(self):
+        # entries of 5e299: their squares overflow, the norms themselves do not
+        A = DiscreteOperator.dense(np.diag([1e-300, 1.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            c_est, c_sup = c_alpha_estimate(A, Stabilizer.scalar_alpha(), 1e-300)
+        assert c_sup == 1.0 / 2e-300
+        assert c_est == pytest.approx(c_sup, rel=1e-15)
 
 
 class TestStabilizationGap:
