@@ -8,13 +8,11 @@ inverse behind ``solve``, ``sweep`` and the certificate c_alpha = 2/alpha.
 It trades the unbounded noise amplification of finite differences for a
 controlled 1/alpha amplification plus an O(alpha) bias.
 
-One private core differentiates a stack of sample rows on one grid: a
-baseline fit per row, then detrending, the shifted solve and the slope as
-array passes over the stack; SampleOverflow fails the whole stack.
-``regularized_derivative`` runs it on one row; a convergence study runs
-each noise level through it as one pass over its seeds.
-``resolvent_apply``, the continuous kernel discretized to O(h^2), is only
-a reference.
+One private core differentiates a stack of rows on one grid, each step an
+array pass: one closed-form line fit, detrending, the shifted solve, the
+slope; SampleOverflow fails the stack. ``regularized_derivative`` runs it
+on one row, a convergence study on each noise level's seeds.
+``resolvent_apply``, the continuous kernel to O(h^2), is only a reference.
 """
 
 from __future__ import annotations
@@ -99,8 +97,7 @@ def resolvent_apply(g: GridFunction, alpha: float) -> GridFunction:
 
     with r = exp(-h/alpha). ``first_order_scan`` evaluates it in O(n) numpy
     operations, in blocks, without a Python loop over the samples; it agrees
-    with the direct O(n^2) sum up to rounding. This is the continuous-kernel
-    reference; ``regularized_derivative`` uses ``solve_shifted`` instead.
+    with the direct O(n^2) sum up to rounding.
 
     Warns
     -----
@@ -128,17 +125,26 @@ def resolvent_apply(g: GridFunction, alpha: float) -> GridFunction:
 
 
 def _fit_baselines(values: np.ndarray, t: np.ndarray, a: float, h: float,
-                   window_width: float) -> list[Baseline]:
-    """``estimate_baseline`` of each row of values, one polyfit call per row."""
+                   window_width: float) -> tuple[np.ndarray, np.ndarray]:
+    """``estimate_baseline`` of each row of values (S, n), as (S, 1) arrays c, d.
+
+    One closed form over the window, a prefix of t. Powers of two (at or below
+    s = t - a's last entry and each row's peak) scale it exactly into float64's
+    range; reducing along rows alone gives each row the bits of a lone fit.
+    """
     if window_width <= 0.0:
         raise ValueError(f"window width must be positive, got {window_width}")
-    mask = (t - a) <= window_width + 1e-9 * h
-    m = int(np.count_nonzero(mask))
+    m = int(np.count_nonzero((t - a) <= window_width + 1e-9 * h))
     if m < 2:
         raise WindowTooNarrow(f"window {window_width:g} holds {m} sample(s), need at least 2")
-    fits = [np.polynomial.polynomial.polyfit(t[mask] - a, row, 1) for row in values[:, mask]]
-    return [Baseline(c=float(c), d=float(d), source="auto", window_width=float(window_width))
-            for c, d in fits]
+    span = np.ldexp(1.0, np.frexp(t[m - 1] - a)[1] - 1)
+    u = (t[:m] - a) / span
+    du = u - u.mean()
+    scale = np.ldexp(1.0, np.frexp(np.abs(values[:, :m]).max(axis=1, keepdims=True))[1] - 1)
+    rows = values[:, :m] / scale
+    mean = rows.mean(axis=1, keepdims=True)
+    slope = ((rows - mean) * du).sum(axis=1, keepdims=True) / (du * du).sum()
+    return (mean - slope * u.mean()) * scale, slope * scale / span
 
 
 def estimate_baseline(y: GridFunction, window_width: float) -> Baseline:
@@ -154,18 +160,18 @@ def estimate_baseline(y: GridFunction, window_width: float) -> Baseline:
     WindowTooNarrow
         If the window holds fewer than two samples.
     """
-    return _fit_baselines(y.values[None], y.t, y.a, y.h, window_width)[0]
+    c, d = _fit_baselines(y.values[None], y.t, y.a, y.h, window_width)
+    return Baseline(float(c[0, 0]), float(d[0, 0]), "auto", float(window_width))
 
 
 def _derivative_rows(values: np.ndarray, a: float, b: float, alpha: float,
-                     baseline: Baseline | None = None, window: float | None = None,
-                     ) -> tuple[list[Baseline], np.ndarray, np.ndarray]:
+                     baseline: Baseline | None = None, window: float | None = None):
     """``regularized_derivative`` of each row of values (S, n), in one array pass.
 
-    Every row gets its own baseline fit and exactly the bits a one-row call
-    gives. Returns the baselines and the stacks of x_alpha and derivatives,
-    checked in that call's order: the detrended samples, AlphaTooSmall once
-    per row, then the solve's output and the derivative (SampleOverflow).
+    Every row gets exactly the bits a one-row call gives. Returns c, d (S x 1
+    fitted, 1 x 1 given), the fit window (None if given) and the stacks of
+    x_alpha and derivatives, checked in that call's order: the detrended
+    samples, AlphaTooSmall once per row, the solve, the slope (SampleOverflow).
     """
     if alpha <= 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
@@ -173,18 +179,15 @@ def _derivative_rows(values: np.ndarray, a: float, b: float, alpha: float,
     with np.errstate(over="ignore", invalid="ignore"):
         t = np.linspace(a, b, op.n)
         if baseline is None:
-            # 2h is inf on a grid wider than half the float64 range; the
-            # window then holds every sample, as it should.
-            width = window if window is not None else max(2.0 * op.h, alpha)
-            baselines = _fit_baselines(values, t, a, op.h, width)
+            # 2h is inf past half the float64 range: the window holds every sample
+            width = float(window if window is not None else max(2.0 * op.h, alpha))
+            c, d = _fit_baselines(values, t, a, op.h, width)
         else:
-            baselines = [baseline] * len(values)
-        c = np.array([[bl.c] for bl in baselines], dtype=float)
-        d = np.array([[bl.d] for bl in baselines], dtype=float)
+            width, c, d = None, np.array([[baseline.c]]), np.array([[baseline.d]])
         detrended = _finite(values - c - d * (t - a), "the detrended samples")
         _warn_unresolved(alpha, op.h, len(values))
         x_alpha = _finite(op.solve_shifted(alpha, detrended), "the resolvent output")
-        return baselines, x_alpha, _finite(x_alpha + d, "the derivative")
+        return c, d, width, x_alpha, _finite(x_alpha + d, "the derivative")
 
 
 def regularized_derivative(y_tilde: GridFunction, alpha: float,
@@ -211,8 +214,8 @@ def regularized_derivative(y_tilde: GridFunction, alpha: float,
         Smoothing parameter, > 0. Larger alpha suppresses noise harder and
         biases the result more; alpha ~ sqrt(noise level) balances the two.
     baseline : Baseline, optional
-        Left-endpoint anchors. None means fit them from the data over a
-        window of width max(2h, alpha), or ``window`` if given.
+        Left-endpoint anchors. None means the least-squares line through
+        the data over a window of width max(2h, alpha), or ``window``.
     window : float, optional
         Fit window width for the automatic baseline; ignored when an
         explicit baseline is passed.
@@ -229,12 +232,9 @@ def regularized_derivative(y_tilde: GridFunction, alpha: float,
         When the detrended samples, the solve's output or the derivative
         leave the float64 range (finite samples near +-1.8e308 can).
     """
-    baselines, x_alpha, derivative = _derivative_rows(
+    c, d, width, x_alpha, derivative = _derivative_rows(
         y_tilde.values[None], y_tilde.a, y_tilde.b, alpha, baseline, window)
     return DerivativeResult(
-        x_alpha=y_tilde.with_values(x_alpha[0]),
-        derivative=y_tilde.with_values(derivative[0]),
-        alpha=alpha,
-        baseline=baselines[0],
-        boundary_layer_width=3.0 * alpha,
-    )
+        x_alpha=y_tilde.with_values(x_alpha[0]), derivative=y_tilde.with_values(derivative[0]),
+        alpha=alpha, baseline=baseline or Baseline(float(c[0, 0]), float(d[0, 0]), "auto", width),
+        boundary_layer_width=3.0 * alpha)

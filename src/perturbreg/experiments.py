@@ -169,7 +169,7 @@ def _runs(example_id: int, n: int, delta: float, alpha: float, seeds: Sequence[i
     """
     with np.errstate(over="ignore", invalid="ignore"):
         noisy = _finite(y.values + delta * units, "the noisy samples")
-    _, _, derivative = _derivative_rows(noisy, y.a, y.b, alpha)
+    derivative = _derivative_rows(noisy, y.a, y.b, alpha)[-1]
     err = np.abs(derivative - exact.values)
     interior = y.t > y.a + 3.0 * alpha  # past the startup layer
     full = err.max(axis=1).tolist()

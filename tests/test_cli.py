@@ -669,6 +669,17 @@ class TestDifferentiate:
         err = capsys.readouterr().err
         assert "alpha=0.1" in err and "q_proxy=" in err and "boundary_layer_width=" in err
 
+    @pytest.mark.parametrize("width", [1e-300, 1e-170, 1e160])
+    def test_linear_data_gives_its_slope_on_any_grid_width(self, tmp_path, width):
+        # numpy's polyfit lost the baseline slope on these grids: at t = 0 the
+        # derivative of y = t read -0.444, and the run still exited 0
+        t = np.linspace(0.0, width, 16)
+        out = tmp_path / "out.csv"
+        assert main(["differentiate", str(write_csv(tmp_path / "in.csv", t, t)),
+                     "--alpha", repr(0.3 * width), "--out", str(out)]) == 0
+        _, data = read_csv_columns(out)
+        np.testing.assert_allclose(data[:, 1], 1.0, rtol=0.0, atol=1e-12)
+
     def test_stdout_when_no_out_flag(self, tmp_path, capsys):
         code = main(["differentiate", str(linear_csv(tmp_path)), "--alpha", "0.1"])
         assert code == 0
@@ -1202,12 +1213,16 @@ class TestExperiment:
                       "--out", str(tmp_path / "runs")])
 
     def test_cold_run_leaves_numpy_ma_out(self, tmp_path):
-        # np.median imports numpy.ma on first use; the study's medians do not
+        # np.median imports numpy.ma on first use; the study's medians do not.
+        # Nor does a baseline fit import numpy.polynomial, as polyfit did.
+        src, out = linear_csv(tmp_path), tmp_path / "d.csv"
         code = ("import sys\nfrom perturbreg.cli import main\n"
                 "assert main(['experiment', '--example', '1', '--deltas', '0.01,0.001', "
-                f"'--seeds', '2', '--n', '64', '--out', {str(tmp_path)!r}]) == 0\n"
-                "print('numpy.ma' in sys.modules)")
-        assert run_in_fresh_interpreter(code).stdout.splitlines()[-1] == "False"
+                f"'--seeds', '2', '--n', '64', '--out', {str(tmp_path / 'runs')!r}]) == 0\n"
+                f"assert main(['differentiate', {str(src)!r}, '--alpha', '0.1', "
+                f"'--out', {str(out)!r}]) == 0\n"
+                "print('numpy.ma' in sys.modules, 'numpy.polynomial' in sys.modules)")
+        assert run_in_fresh_interpreter(code).stdout.splitlines()[-1] == "False False"
 
     def test_bad_flags(self, tmp_path):
         out = str(tmp_path / "runs")

@@ -5,6 +5,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from perturbreg import (
     AlphaTooSmall,
@@ -18,7 +21,7 @@ from perturbreg import (
     resolvent_apply,
     volterra_apply,
 )
-from perturbreg.differentiate import Baseline, estimate_baseline
+from perturbreg.differentiate import Baseline, _fit_baselines, estimate_baseline
 from perturbreg.experiments import example_function, example_interval
 
 
@@ -162,14 +165,51 @@ class TestResolventNormBound:
 
 
 class TestEstimateBaseline:
-    def test_recovers_exact_line(self):
-        t = np.linspace(0.0, 1.0, 101)
-        y = GridFunction(0.0, 1.0, 2.5 - 0.75 * t)
-        base = estimate_baseline(y, 0.2)
-        assert base.c == pytest.approx(2.5, abs=1e-12)
-        assert base.d == pytest.approx(-0.75, abs=1e-12)
+    # Past a width of about 1e154 or below about 1e-160, numpy's polyfit lost
+    # the slope: its column norms over- or underflowed, and the rank-deficient
+    # fit returned d = 0 behind a RankWarning.
+    @pytest.mark.parametrize("a_per_width", [0.0, -3.0])
+    @pytest.mark.parametrize("width", [1e-300, 1e-170, 1.0, 1e160, 1e300])
+    def test_recovers_exact_line(self, width, a_per_width):
+        a = a_per_width * width
+        y = GridFunction.sample(lambda t: 2.5 * width - 0.75 * (t - a), a, a + width, 101)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            base = estimate_baseline(y, 0.2 * width)
+        assert base.c == pytest.approx(2.5 * width, rel=1e-12, abs=0.0)
+        assert base.d == pytest.approx(-0.75, rel=1e-12, abs=0.0)
         assert base.source == "auto"
-        assert base.window_width == pytest.approx(0.2)
+        assert base.window_width == pytest.approx(0.2 * width, rel=1e-15, abs=0.0)
+
+    # numpy sums 8 terms at a time and splits pairwise past 128, so these
+    # windows take every order of summation a row's fit can see.
+    @pytest.mark.parametrize("m", [2, 7, 9, 127, 129, 300])
+    def test_stacked_fit_is_every_lone_fit_bit_for_bit(self, m):
+        rng = np.random.default_rng(m)
+        n, h = 512, 3.0 / 511
+        values = rng.standard_normal((21, n)) * 10.0 ** rng.uniform(-3.0, 3.0, (21, 1))
+        values[1] = 0.0
+        values[2] += 1e6 - 40.0 * np.linspace(0.0, 3.0, n)
+        c, d = _fit_baselines(values, np.linspace(0.0, 3.0, n), 0.0, h, (m - 1) * h)
+        assert c.shape == d.shape == (21, 1)
+        for row, ci, di in zip(values, c[:, 0], d[:, 0]):
+            lone = estimate_baseline(GridFunction(0.0, 3.0, row), (m - 1) * h)
+            assert np.array([lone.c, lone.d]).tobytes() == np.array([ci, di]).tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 400), st.data(), st.floats(-1e3, 1e3), st.floats(1e-3, 1e2),
+           st.floats(-5.0, 5.0), st.floats(-5.0, 5.0))
+    def test_matches_polyfit_on_ordinary_grids(self, n, data, a, h, c0, d0):
+        m = data.draw(st.integers(2, n), label="m")
+        noise = data.draw(hnp.arrays(np.float64, n, elements=st.floats(-1e3, 1e3)), label="noise")
+        t = np.linspace(a, a + h * (n - 1), n)
+        y = GridFunction(a, a + h * (n - 1), c0 + d0 * (t - a) + noise)
+        base = estimate_baseline(y, (m - 0.5) * h)
+        s = y.t[:m] - a
+        ref_c, ref_d = np.polynomial.polynomial.polyfit(s, y.values[:m], 1)
+        peak = np.abs(y.values[:m]).max()
+        assert base.c == pytest.approx(ref_c, rel=1e-12, abs=1e-12 * peak)
+        assert base.d == pytest.approx(ref_d, rel=1e-12, abs=1e-12 * peak / s[-1])
 
     def test_smooth_data_anchors(self):
         # y(0) = 0 and y'(0) = pi/4 for this benchmark-style signal
