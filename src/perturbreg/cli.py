@@ -431,10 +431,15 @@ def _cmd_differentiate(args) -> int:
     if h <= 0.0 or np.any(spacing <= 0.0) or np.max(np.abs(spacing - h)) > 1e-9 * h:
         return _fail("t must be strictly increasing with uniform spacing", EXIT_GRID)
 
+    try:
+        samples = GridFunction(t[0], t[-1], y)
+    except ValueError as exc:
+        # Uniform steps just below a power of two can be finer than the
+        # float spacing at t's far end; the checks above let them through.
+        return _fail(str(exc), EXIT_GRID)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", AlphaTooSmall)
-        result = regularized_derivative(GridFunction(t[0], t[-1], y), alpha,
-                                        baseline=baseline, window=args.window)
+        result = regularized_derivative(samples, alpha, baseline=baseline, window=args.window)
     alpha_warnings = [w for w in caught if isinstance(w.message, AlphaTooSmall)]
     for w in alpha_warnings:
         print(f"warning: {w.message}", file=sys.stderr)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import BiorthogonalityFailed, DegenerateGram, SingularSystem
 from .operators import DiscreteOperator, Stabilizer, _stack_vectors
-from .solve import SolveReport, _c_alpha_estimate, _report, _solve_stabilized
+from .solve import SolveReport, _certified_solve, _report
 
 _BIORTHO_TOL = 1e-10
 _DET_TOL = 1e-12
@@ -174,8 +174,6 @@ def solve_fredholm_regularized(A_tilde: DiscreteOperator, basis: FredholmBasis, 
     """
     stab = basis.stabilizer
     rhs = project_rhs(f_tilde, basis)
-    x, assembled = _solve_stabilized(A_tilde, stab, 1.0, rhs)
-    residual = float(np.max(np.abs(assembled @ x - rhs)))
-    c_est, c_sup = _c_alpha_estimate(A_tilde, stab, 1.0, assembled)
+    x, residual, c_est, c_sup = _certified_solve(A_tilde, stab, 1.0, rhs)
     return _report(x, residual, c_est, c_sup, delta, q_max, x_star=x_star,
                    selection=basis.gammas @ x)

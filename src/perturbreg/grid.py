@@ -20,6 +20,20 @@ def _float_width(a, b) -> float:
         return math.inf
 
 
+def _check_step(a, b, n: int) -> None:
+    """Reject a grid of n points on [a, b] whose step float64 cannot hold.
+
+    Below the float spacing at max(|a|, |b|), neighbouring samples t_i round
+    onto the same float, and a derivative or a fit over them divides by zero.
+    The interval must already be known to lie within the float64 range.
+    """
+    h = _float_width(a, b) / (n - 1)
+    spacing = math.ulp(max(abs(float(a)), abs(float(b))))
+    if h < spacing:
+        raise ValueError(f"grid step {h:g} on [{a}, {b}] is below the float64 spacing "
+                         f"{spacing:g} there: its samples cannot be told apart")
+
+
 @dataclass(frozen=True)
 class GridFunction:
     """A real function sampled at t_i = a + i*h, h = (b - a)/(n - 1).
@@ -41,6 +55,7 @@ class GridFunction:
             raise ValueError(f"empty interval [{self.a}, {self.b}]")
         if not math.isfinite(_float_width(self.a, self.b)):
             raise ValueError(f"interval [{self.a}, {self.b}] is wider than the float64 range")
+        _check_step(self.a, self.b, vals.size)
         if not np.all(np.isfinite(vals)):
             raise ValueError("samples must be finite")
         object.__setattr__(self, "values", vals)

@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import GridFunction, _float_width
+from .grid import GridFunction, _check_step, _float_width
 
 # Samples per block of ``first_order_scan``. Each sample costs one row of a
 # matrix product this wide; smaller blocks would add recursion levels, each a
@@ -112,6 +112,7 @@ class DiscreteOperator:
             raise ValueError(f"interval [{a}, {b}] is wider than the float64 range")
         if n < 2:
             raise ValueError(f"need at least two grid points, got {n}")
+        _check_step(a, b, n)
         return cls(a=float(a), b=float(b), n=int(n))
 
     @property

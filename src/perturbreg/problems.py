@@ -16,6 +16,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -219,14 +220,23 @@ def parse_rule(text: str) -> CoordinationRule:
 
 
 def _square_matrix(raw, n: int, what: str) -> np.ndarray:
-    m = [list(row) for row in raw]
-    width = len(m[0])
-    if any(len(row) != width for row in m):
+    """The validated rows as an n x n array; the shape is checked on the lists,
+    and their numbers are converted in one pass."""
+    width = len(raw[0])
+    if any(len(row) != width for row in raw):
         raise ProblemFormatError(f"{what} rows have unequal lengths")
-    arr = np.asarray(m, dtype=float)
-    if arr.shape != (n, n):
-        raise ProblemFormatError(f"{what} must be {n}x{n} to match rhs, got {arr.shape}")
-    return arr
+    if (len(raw), width) != (n, n):
+        raise ProblemFormatError(f"{what} must be {n}x{n} to match rhs, got {(len(raw), width)}")
+    return np.fromiter(chain.from_iterable(raw), float, n * n).reshape(n, n)
+
+
+def _volterra(a, b, n: int) -> DiscreteOperator:
+    if n < 2:
+        raise ProblemFormatError("the integral operator needs at least two grid points")
+    try:
+        return DiscreteOperator.volterra(a, b, n)
+    except ValueError as exc:  # a grid step below the float64 spacing
+        raise ProblemFormatError(str(exc)) from exc
 
 
 def load_problem(path) -> Problem:
@@ -269,9 +279,7 @@ def load_problem(path) -> Problem:
     if has_matrix:
         operator = DiscreteOperator.dense(_square_matrix(raw["matrix"], n, "matrix"))
     else:
-        if n < 2:
-            raise ProblemFormatError("the integral operator needs at least two grid points")
-        operator = DiscreteOperator.volterra(a, b, n)
+        operator = _volterra(a, b, n)
 
     stab = raw["stabilizer"]
     basis = None
@@ -302,9 +310,7 @@ def load_problem(path) -> Problem:
     exact_operator = None
     if "exact_matrix" in raw:
         if raw["exact_matrix"] == "volterra":
-            if n < 2:
-                raise ProblemFormatError("the integral operator needs at least two grid points")
-            exact_operator = DiscreteOperator.volterra(a, b, n)
+            exact_operator = _volterra(a, b, n)
         else:
             exact_operator = DiscreteOperator.dense(
                 _square_matrix(raw["exact_matrix"], n, "exact_matrix"))

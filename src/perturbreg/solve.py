@@ -7,6 +7,12 @@ reports the quantities needed to certify the reconstruction error: the
 sup norm c_sup of the stabilized inverse with its margin q_sup = delta * c_sup,
 a 2-norm margin q_est = delta * c_alpha_est, the bias introduced by the
 stabilizer, and the resulting error bound.
+
+Each dense stabilized matrix is factored once. A certified solve inverts it,
+and that one inverse serves the solution (with one refinement step, and an
+LU solve as the fallback), the residual and both norms; a stabilization gap
+takes one LU solve, and a sweep reorders the operator once for all its
+alphas. The running integral with alpha * I needs no matrix at all.
 """
 
 from __future__ import annotations
@@ -221,7 +227,18 @@ def _solve_linear(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 _POWER_STEPS = 10
 
 
+def _shifted(matrix: np.ndarray, alpha: float) -> np.ndarray:
+    """matrix + alpha * I, entry for entry, as a new array in the memory order
+    of ``matrix``: one copy and a diagonal add, no identity."""
+    m = matrix.copy(order="K")
+    diagonal = np.einsum("ii->i", m)  # a writable view
+    diagonal += alpha
+    return m
+
+
 def _assemble(A: DiscreteOperator, B: Stabilizer, alpha: float) -> np.ndarray:
+    if B.is_scalar:
+        return _shifted(A.as_matrix(), alpha)
     return A.as_matrix() + B.materialize(alpha, A.size)
 
 
@@ -231,16 +248,15 @@ def _is_shifted_integral(A: DiscreteOperator, B: Stabilizer) -> bool:
 
 
 def _solve_stabilized(A: DiscreteOperator, B: Stabilizer, alpha: float,
-                      rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """Solve (A + B(alpha)) x = rhs; returns x and the assembled matrix, if one was built."""
+                      rhs: np.ndarray) -> np.ndarray:
+    """Solve (A + B(alpha)) x = rhs by one LU factorization, or the O(n) recurrence."""
     if _is_shifted_integral(A, B):
         with np.errstate(over="ignore", invalid="ignore"):
             x = A.solve_shifted(alpha, rhs)
         if not np.all(np.isfinite(x)):
             raise SingularSystem("shifted running-integral solve produced non-finite values")
-        return x, None
-    assembled = _assemble(A, B, alpha)
-    return _solve_linear(assembled, rhs), assembled
+        return x
+    return _solve_linear(_assemble(A, B, alpha), rhs)
 
 
 def _unit(v: np.ndarray) -> tuple[np.ndarray, float]:
@@ -252,29 +268,21 @@ def _unit(v: np.ndarray) -> tuple[np.ndarray, float]:
     return v / norm, peak * norm
 
 
-def c_alpha_estimate(A: DiscreteOperator, B: Stabilizer, alpha: float,
-                     assembled: np.ndarray | None = None) -> tuple[float, float]:
-    """The norms of (A + B(alpha))^{-1}: returns (c_alpha_est, c_sup).
-
-    ``c_sup`` is its sup norm, the one the error bound needs, and
-    ``c_alpha_est`` a lower estimate of its 2-norm, the margin that q_est
-    rates. The running integral plus alpha * I has the closed bound 2/alpha
-    for both, a true sup-norm bound since alpha * ||(V + alpha I)^{-1}||_inf
-    stays below 2, and needs no matrix. Any other pair inverts the assembled
-    matrix once: c_sup is the largest absolute row sum of the inverse, exact
-    up to rounding, and c_alpha_est comes from ``_POWER_STEPS`` power steps
-    on inv^T inv; each step's gain is a lower bound on 1/sigma_min, and the
-    gains do not decrease. A singular matrix or a non-finite inverse gives
-    inf for both. Pass ``assembled`` when it is at hand, otherwise it is
-    built here.
-    """
-    if _is_shifted_integral(A, B):
-        return 2.0 / alpha, 2.0 / alpha
-    if assembled is None:
-        assembled = _assemble(A, B, alpha)
+def _invert(matrix: np.ndarray) -> np.ndarray | None:
+    """The inverse of ``matrix``, or None when LAPACK finds it singular."""
     try:
-        inverse = np.linalg.inv(assembled)
+        return np.linalg.inv(matrix)
     except np.linalg.LinAlgError:
+        return None
+
+
+def _inverse_norms(inverse: np.ndarray | None) -> tuple[float, float]:
+    """(c_alpha_est, c_sup) of an inverse, as ``c_alpha_estimate`` describes them.
+
+    The inverse is overwritten with its absolute values; None, or an inverse
+    with a non-finite norm, gives inf for both.
+    """
+    if inverse is None:
         return math.inf, math.inf
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # Start from the column of largest 2-norm, so the first estimate is
@@ -293,10 +301,71 @@ def c_alpha_estimate(A: DiscreteOperator, B: Stabilizer, alpha: float,
     return c_est, c_sup
 
 
+def c_alpha_estimate(A: DiscreteOperator, B: Stabilizer, alpha: float,
+                     assembled: np.ndarray | None = None) -> tuple[float, float]:
+    """The norms of (A + B(alpha))^{-1}: returns (c_alpha_est, c_sup).
+
+    ``c_sup`` is its sup norm, the one the error bound needs, and
+    ``c_alpha_est`` a lower estimate of its 2-norm, the margin that q_est
+    rates. The running integral plus alpha * I has the closed bound 2/alpha
+    for both, a true sup-norm bound since alpha * ||(V + alpha I)^{-1}||_inf
+    stays below 2, and needs no matrix. Any other pair inverts the assembled
+    matrix once: c_sup is the largest absolute row sum of the inverse, exact
+    up to rounding, and c_alpha_est comes from ``_POWER_STEPS`` power steps
+    on inv^T inv; each step's gain is a lower bound on 1/sigma_min, and the
+    gains do not decrease. A singular matrix or a non-finite inverse gives
+    inf for both. Pass ``assembled`` when it is at hand, otherwise it is
+    built here. A certified solve (``solve_perturbed``) takes both norms
+    from the one inverse that also gives its solution, with one refinement
+    step and an LU fallback, and its residual.
+    """
+    if _is_shifted_integral(A, B):
+        return 2.0 / alpha, 2.0 / alpha
+    if assembled is None:
+        assembled = _assemble(A, B, alpha)
+    return _inverse_norms(_invert(assembled))
+
+
 # The benchmark's tracer (perfbench/tracing.py) times this routine under its
-# earlier private name, so both solvers and the CLI sweep call it through
-# that name.
+# earlier private name, so the CLI sweep and the O(n) certified solve call it
+# through that name.
 _c_alpha_estimate = c_alpha_estimate
+
+
+def _certified_solve(A: DiscreteOperator, B: Stabilizer, alpha: float,
+                     rhs: np.ndarray) -> tuple[np.ndarray, float, float, float]:
+    """Solve (A + B(alpha)) x = rhs; returns x, its residual, c_alpha_est and c_sup.
+
+    A dense pair is assembled and inverted once. That inverse gives x and one
+    refinement step, x += inverse @ (rhs - M x), and then both norms. When
+    the inverse is singular or not finite, or the refined residual lies
+    above LU level, n * eps * ||M||_inf * ||x||_inf, x comes from an LU
+    solve instead: at condition numbers past about 1e10 the explicit
+    inverse can leave a residual far above LU's.
+    """
+    if _is_shifted_integral(A, B):
+        x = _solve_stabilized(A, B, alpha, rhs)
+        residual = float(np.max(np.abs(A.apply(x) + B.apply(alpha, x) - rhs)))
+        return (x, residual, *_c_alpha_estimate(A, B, alpha))
+    m = _assemble(A, B, alpha)
+    inverse = _invert(m)
+    if inverse is None:
+        x = _solve_linear(m, rhs)
+        return x, float(np.max(np.abs(m @ x - rhs))), math.inf, math.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = inverse @ rhs
+        x += inverse @ (rhs - m @ x)
+        residual = float(np.max(np.abs(m @ x - rhs)))
+        c_est, c_sup = _inverse_norms(inverse)
+        # The inverse now holds its absolute values and is not needed again:
+        # |M| goes in its place for ||M||_inf.
+        lu_level = (m.shape[0] * np.finfo(float).eps
+                    * float(np.max(np.abs(m, out=inverse).sum(axis=1)))
+                    * float(np.max(np.abs(x))))
+    if not (math.isfinite(residual) and residual <= lu_level):
+        x = _solve_linear(m, rhs)
+        residual = float(np.max(np.abs(m @ x - rhs)))
+    return x, residual, c_est, c_sup
 
 
 def stabilization_gap(A: DiscreteOperator, B: Stabilizer, alpha: float, x_star) -> float:
@@ -314,8 +383,7 @@ def stabilization_gap(A: DiscreteOperator, B: Stabilizer, alpha: float, x_star) 
     if alpha <= 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     xs = _as_vector(x_star)
-    sol, _ = _solve_stabilized(A, B, alpha, B.apply(alpha, xs))
-    return float(np.max(np.abs(sol)))
+    return float(np.max(np.abs(_solve_stabilized(A, B, alpha, B.apply(alpha, xs)))))
 
 
 def stabilization_sweep(A: DiscreteOperator, B: Stabilizer, alphas: Sequence[float],
@@ -323,12 +391,21 @@ def stabilization_sweep(A: DiscreteOperator, B: Stabilizer, alphas: Sequence[flo
     """stabilization_gap at each alpha, as (alpha, gap) pairs.
 
     No monotonicity is enforced or assumed; the sweep exists to make the
-    actual alpha -> bias trade-off visible.
+    actual alpha -> bias trade-off visible. A dense operator with alpha * I
+    is reordered once, into one Fortran-ordered copy; each alpha's matrix is
+    copied from it, so LAPACK's own input copy reads contiguous columns. It
+    sees the same column-major matrix either way, so each gap has the bits a
+    lone ``stabilization_gap`` call gives.
     """
     alphas = [float(a) for a in alphas]
     if any(a <= 0.0 for a in alphas):
         raise ValueError("sweep alphas must be positive")
-    return [(a, stabilization_gap(A, B, a, x_star)) for a in alphas]
+    if A.is_volterra or not B.is_scalar:
+        return [(a, stabilization_gap(A, B, a, x_star)) for a in alphas]
+    columns = np.asfortranarray(A.matrix)
+    xs = _as_vector(x_star)
+    return [(a, float(np.max(np.abs(_solve_linear(_shifted(columns, a), a * xs)))))
+            for a in alphas]
 
 
 def solve_perturbed(A_tilde: DiscreteOperator, B: Stabilizer, alpha: float, f_tilde,
@@ -337,8 +414,11 @@ def solve_perturbed(A_tilde: DiscreteOperator, B: Stabilizer, alpha: float, f_ti
     """Solve (A_tilde + B(alpha)) x = f_tilde and report diagnostics.
 
     The running integral with alpha * I is solved by its O(n) recurrence
-    (``DiscreteOperator.solve_shifted``); every other pair is assembled into
-    a dense matrix and factorized.
+    (``DiscreteOperator.solve_shifted``). Every other pair is assembled into
+    a dense matrix M and inverted once; that inverse gives x, refined by one
+    step x += M^-1 (f - M x), the residual, c_alpha_est and c_sup. When the
+    refined residual lies above LU level, n * eps * ||M||_inf * ||x||_inf,
+    or the inverse is not finite, x comes from an LU solve instead.
 
     Parameters
     ----------
@@ -370,10 +450,7 @@ def solve_perturbed(A_tilde: DiscreteOperator, B: Stabilizer, alpha: float, f_ti
     f = _as_vector(f_tilde)
     if A_tilde.size != f.size:
         raise ValueError(f"operator size {A_tilde.size} does not match rhs size {f.size}")
-    x, assembled = _solve_stabilized(A_tilde, B, alpha, f)
-    lhs = A_tilde.apply(x) + B.apply(alpha, x) if assembled is None else assembled @ x
-    residual = float(np.max(np.abs(lhs - f)))
-    c_est, c_sup = _c_alpha_estimate(A_tilde, B, alpha, assembled)
+    x, residual, c_est, c_sup = _certified_solve(A_tilde, B, alpha, f)
     gap = None
     if x_star is not None and A_exact is not None:
         gap = stabilization_gap(A_exact, B, alpha, x_star)

@@ -807,6 +807,19 @@ class TestDifferentiate:
         assert capsys.readouterr() == (
             "", "error: t spans [-1e+308, 1e+308], wider than the float64 range\n")
 
+    def test_step_below_the_float_spacing_exits_3(self, tmp_path, capsys):
+        # uniform steps of 2**-53 up to t = 1, where floats are 2**-52 apart:
+        # every t check passes, the grid itself is rejected
+        t = 1.0 - 2.0**-53 * np.arange(3.0, -1.0, -1.0)
+        src = write_csv(tmp_path / "fine.csv", t, np.ones(4))
+        assert main(["differentiate", str(src), "--alpha", "0.1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: grid step 1.11022e-16 on [")
+        assert captured.err.endswith("below the float64 spacing 2.22045e-16 there: "
+                                     "its samples cannot be told apart\n")
+        assert captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
     def test_non_finite_sample_rejected(self, tmp_path, capsys, value):
         bad = tmp_path / "bad.csv"

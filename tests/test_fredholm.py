@@ -218,6 +218,42 @@ class TestSolveFredholmRegularized:
         assert rep.observed_error == np.max(np.abs(rep.solution - x_star))
         assert rep.gap is None and rep.bound is None
 
+    def _deficient(self, n, cond, seed):
+        """A rank-1-deficient n x n operator, its null vectors and consistent data."""
+        rng = np.random.default_rng(seed)
+        u = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        v = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        s = np.geomspace(1.0, 1.0 / cond, n)
+        s[-1] = 0.0
+        a = (u * s) @ v.T
+        return a, build_stabilizer([v[:, -1]], [u[:, -1]]), a @ rng.standard_normal(n)
+
+    def test_well_conditioned_solve_inverts_once_and_never_factors_again(self, monkeypatch):
+        a, basis, f = self._deficient(24, 10.0, 1)
+        calls = []
+        inv, lu = np.linalg.inv, np.linalg.solve
+        monkeypatch.setattr(np.linalg, "inv", lambda m: calls.append("inv") or inv(m))
+        monkeypatch.setattr(np.linalg, "solve", lambda m, b: calls.append("solve") or lu(m, b))
+        rep = solve_fredholm_regularized(DiscreteOperator.dense(a), basis, f, delta=1e-6)
+        assert calls == ["inv"]
+        m = a + basis.stabilizer.materialize(1.0, 24)
+        eps = np.finfo(float).eps
+        assert rep.residual_norm <= (24 * eps * np.max(np.abs(m).sum(axis=1))
+                                     * np.max(np.abs(rep.solution)))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_ill_conditioned_solve_falls_back_to_lu(self, seed):
+        # at condition 1e15 the inverse's refined residual lies far above LU
+        # level, so x is LU's, bit for bit
+        a, basis, f = self._deficient(24, 1e15, seed)
+        rep = solve_fredholm_regularized(DiscreteOperator.dense(a), basis, f)
+        m = a + basis.stabilizer.materialize(1.0, 24)
+        rhs = project_rhs(f, basis)
+        np.testing.assert_array_equal(rep.solution, np.linalg.solve(m, rhs))
+        lu_level = (24 * np.finfo(float).eps * np.max(np.abs(m).sum(axis=1))
+                    * np.max(np.abs(rep.solution)))
+        assert rep.residual_norm <= lu_level
+
     def test_unshifted_defect_raises(self):
         # stabilizer built for the wrong direction leaves the system singular
         wrong = build_stabilizer([e(1, 3)], [e(1, 3)])

@@ -63,6 +63,22 @@ def test_rejects_python_int_endpoint_beyond_float64_range(a, b):
         GridFunction(a, b, [1.0, 2.0, 3.0])
 
 
+@pytest.mark.parametrize("a, b, n", [
+    (1e16, 1e16 + 8, 1000),  # step 0.008 where floats are 2 apart
+    (1.0 - 3 * 2.0**-53, 1.0, 4),  # step 2**-53, below the spacing 2**-52 at b = 1
+    (-1e16 - 8, -1e16, 10),
+])
+def test_rejects_step_below_the_float_spacing(a, b, n):
+    with pytest.raises(ValueError, match="below the float64 spacing"):
+        GridFunction(a, b, np.zeros(n))
+
+
+@pytest.mark.parametrize("a, b, n", [(1e16, 1e16 + 8, 5), (0.0, 1e-320, 3),
+                                     (1.0 - 3 * 2.0**-52, 1.0, 4)])
+def test_step_at_the_float_spacing_accepted(a, b, n):
+    assert GridFunction(a, b, np.zeros(n)).n == n
+
+
 def test_widest_finite_interval_accepted():
     g = GridFunction(-8e307, 8e307, np.zeros(3))
     assert g.h == 8e307

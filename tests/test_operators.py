@@ -206,6 +206,16 @@ class TestDiscreteOperator:
         with pytest.raises(ValueError, match="wider than the float64 range"):
             DiscreteOperator.volterra(a, b, 3)
 
+    def test_volterra_rejects_step_below_the_float_spacing(self):
+        with pytest.raises(ValueError, match="below the float64 spacing"):
+            DiscreteOperator.volterra(1e16, 1e16 + 8, 1000)
+        with pytest.raises(ValueError, match="below the float64 spacing"):
+            DiscreteOperator.volterra(0.5, 1.0, 2**51 + 2)
+
+    def test_volterra_accepts_step_at_the_float_spacing(self):
+        # the check reads only a, b and n: no samples are made
+        assert DiscreteOperator.volterra(0.5, 1.0, 2**51 + 1).h == 2.0**-52
+
     def test_apply_checks_operand_size(self):
         op = DiscreteOperator.dense(np.eye(3))
         with pytest.raises(ValueError):

@@ -241,13 +241,42 @@ class TestRejections:
 
     def test_matrix_must_match_rhs(self, tmp_path):
         bad = scalar_problem(matrix=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        with pytest.raises(ProblemFormatError):
+        with pytest.raises(ProblemFormatError,
+                           match=r"^matrix must be 2x2 to match rhs, got \(3, 3\)$"):
+            load_problem(write_problem(tmp_path, bad))
+
+    def test_wide_exact_matrix_must_match_rhs(self, tmp_path):
+        bad = scalar_problem(exact_solution=[1.0, 1.0],
+                             exact_matrix=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        with pytest.raises(ProblemFormatError,
+                           match=r"^exact_matrix must be 2x2 to match rhs, got \(2, 3\)$"):
             load_problem(write_problem(tmp_path, bad))
 
     def test_ragged_matrix(self, tmp_path):
         bad = scalar_problem(matrix=[[1.0, 0.0], [0.0]])
-        with pytest.raises(ProblemFormatError):
+        with pytest.raises(ProblemFormatError, match="^matrix rows have unequal lengths$"):
             load_problem(write_problem(tmp_path, bad))
+
+    def test_integer_and_float_entries_convert_exactly(self, tmp_path):
+        p = load_problem(write_problem(tmp_path, scalar_problem(
+            matrix=[[2, 10**300], [0.1, -3]], exact_solution=[1.0, 1.0],
+            exact_matrix=[[1, 0], [0, 1]])))
+        np.testing.assert_array_equal(p.operator.as_matrix(), [[2.0, 1e300], [0.1, -3.0]])
+        assert p.operator.as_matrix().dtype == np.float64
+        np.testing.assert_array_equal(p.exact_operator.as_matrix(), np.eye(2))
+
+    @pytest.mark.parametrize("key", ["operator", "exact_matrix"])
+    def test_integral_step_below_the_float_spacing(self, tmp_path, key):
+        payload = scalar_problem(interval=[1e16, 1e16 + 8], rhs=[0.0] * 100,
+                                 exact_solution=[0.0] * 100)
+        if key == "operator":
+            del payload["matrix"]
+            payload["operator"] = "volterra"
+        else:
+            payload["matrix"] = np.eye(100).tolist()
+            payload["exact_matrix"] = "volterra"
+        with pytest.raises(ProblemFormatError, match="below the float64 spacing 2 there"):
+            load_problem(write_problem(tmp_path, payload))
 
     def test_alpha_and_rule_exclusive(self, tmp_path):
         with pytest.raises(ProblemFormatError):

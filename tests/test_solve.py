@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,12 +18,14 @@ from perturbreg import (
     SingularSystem,
     Stabilizer,
     operators,
+    solve,
     solve_perturbed,
     stabilization_gap,
     stabilization_sweep,
 )
 from perturbreg.solve import (
     PowerDelta,
+    _assemble,
     SqrtDelta,
     c_alpha_estimate,
     coordinate_alpha,
@@ -313,6 +316,121 @@ def _orthogonal(rng, n):
     return q * np.sign(np.diag(r))
 
 
+def _conditioned(rng, n, cond):
+    """U diag(s) V^T with s from 1 down to 1/cond: 2-norm condition number cond."""
+    return (_orthogonal(rng, n) * np.geomspace(1.0, 1.0 / cond, n)) @ _orthogonal(rng, n).T
+
+
+def _lu_level(m, x):
+    return m.shape[0] * np.finfo(float).eps * np.max(np.abs(m).sum(axis=1)) * np.max(np.abs(x))
+
+
+@pytest.fixture
+def lapack_calls(monkeypatch):
+    """Record the matrix of every np.linalg.inv and np.linalg.solve call."""
+    calls = {"inv": [], "solve": []}
+    for name in calls:
+        real = getattr(np.linalg, name)
+
+        def counted(matrix, *args, _real=real, _name=name):
+            calls[_name].append(np.array(matrix))
+            return _real(matrix, *args)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+class TestOneInverse:
+    """A certified dense solve takes x, its residual and both norms from one inverse."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(2, 40), log_cond=st.floats(2.0, 15.0), seed=st.integers(0, 2**32 - 1))
+    def test_residual_at_lu_level_at_any_condition(self, n, log_cond, seed):
+        # f = M x_true is the hard case for an explicit inverse: ||x|| is far
+        # below ||M^-1|| ||f||, so its residual can lie far above LU's
+        rng = np.random.default_rng(seed)
+        cond = 10.0**log_cond
+        a = _conditioned(rng, n, cond)
+        alpha = 1e-20
+        m = a + alpha * np.eye(n)
+        f = m @ rng.standard_normal(n)
+        with mock.patch.object(solve, "_solve_linear", wraps=solve._solve_linear) as lu:
+            rep = solve_perturbed(DiscreteOperator.dense(a), Stabilizer.scalar_alpha(), alpha, f,
+                                  RegConfig(delta=0.0, alpha=alpha))
+        x = rep.solution
+        assert rep.residual_norm <= _lu_level(m, x)
+        assert np.max(np.abs(m @ x - f)) <= _lu_level(m, x)
+        x_lu = np.linalg.solve(m, f)
+        eps = np.finfo(float).eps
+        assert np.max(np.abs(x - x_lu)) <= 2.0 * n * cond * eps * np.max(np.abs(x_lu))
+        # measured over 500 systems at each of n = 2, 3, 4, 8, 20 and 40: at
+        # cond 1e14 the refined residual is at least 11 times LU level, so x
+        # comes from LU
+        if cond >= 1e14:
+            assert lu.call_count == 1
+
+    def test_well_conditioned_solve_inverts_once(self, lapack_calls):
+        rng = np.random.default_rng(3)
+        n, alpha = 30, 0.1
+        a_exact = _conditioned(rng, n, 10.0)
+        a_tilde = a_exact + 1e-4 * rng.uniform(-1.0, 1.0, (n, n)) / n
+        x_star = rng.standard_normal(n)
+        rep = solve_perturbed(DiscreteOperator.dense(a_tilde), Stabilizer.scalar_alpha(), alpha,
+                              a_exact @ x_star, RegConfig(delta=1e-4, alpha=alpha),
+                              x_star=x_star, A_exact=DiscreteOperator.dense(a_exact))
+        assert rep.bound is not None
+        assert len(lapack_calls["inv"]) == 1
+        np.testing.assert_array_equal(lapack_calls["inv"][0], a_tilde + alpha * np.eye(n))
+        # the one LU solve is the stabilization gap's, on the exact operator
+        assert len(lapack_calls["solve"]) == 1
+        np.testing.assert_array_equal(lapack_calls["solve"][0], a_exact + alpha * np.eye(n))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_refinement_keeps_a_moderately_conditioned_solve_off_lu(self, seed, lapack_calls):
+        # at cond 1e8 the unrefined residual lies up to 2e4 times above LU
+        # level (n = 30); one refinement step brings it below 0.01 times
+        rng = np.random.default_rng(seed)
+        a = _conditioned(rng, 30, 1e8)
+        f = a @ rng.standard_normal(30)
+        rep = solve_perturbed(DiscreteOperator.dense(a), Stabilizer.scalar_alpha(), 1e-20, f,
+                              RegConfig(delta=0.0, alpha=1e-20))
+        assert (len(lapack_calls["inv"]), len(lapack_calls["solve"])) == (1, 0)
+        assert rep.residual_norm <= 0.1 * _lu_level(a + 1e-20 * np.eye(30), rep.solution)
+
+    def test_norms_are_c_alpha_estimates_bit_for_bit(self):
+        rng = np.random.default_rng(4)
+        a = rng.standard_normal((40, 40))
+        A, B = DiscreteOperator.dense(a), Stabilizer.scalar_alpha()
+        rep = solve_perturbed(A, B, 0.3, rng.standard_normal(40), RegConfig(delta=1e-3, alpha=0.3))
+        assert (rep.c_alpha_est, rep.c_sup) == c_alpha_estimate(A, B, 0.3)
+
+    def test_non_finite_inverse_falls_back_to_lu(self):
+        # a subnormal pivot: the inverse overflows, LU still solves
+        A = DiscreteOperator.dense(np.diag([1e-320, 1.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = solve_perturbed(A, Stabilizer.scalar_alpha(), 1e-320, np.array([1e-320, 2.0]),
+                                  RegConfig(delta=0.0, alpha=1e-320))
+        np.testing.assert_array_equal(rep.solution, [0.5, 2.0])
+        assert (rep.c_alpha_est, rep.c_sup) == (math.inf, math.inf)
+
+
+class TestAssemble:
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_equals_the_sum_with_an_identity(self, order):
+        a = np.asarray(np.random.default_rng(6).standard_normal((17, 17)), order=order)
+        a[3, 5] = -0.0
+        before = a.copy()
+        m = _assemble(DiscreteOperator.dense(a), Stabilizer.scalar_alpha(), 0.37)
+        np.testing.assert_array_equal(m, a + 0.37 * np.eye(17))
+        np.testing.assert_array_equal(a, before)
+        assert not np.shares_memory(m, a)
+
+    def test_running_integral_matrix(self):
+        A = DiscreteOperator.volterra(0.0, 2.0, 9)
+        np.testing.assert_array_equal(_assemble(A, Stabilizer.scalar_alpha(), 1e-3),
+                                      A.as_matrix() + 1e-3 * np.eye(9))
+
+
 class TestCAlphaEstimate:
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 40), alpha=st.floats(1e-3, 10.0), seed=st.integers(0, 2**32 - 1))
@@ -429,6 +547,22 @@ class TestStabilizationGap:
         assert [a for a, _ in sweep] == alphas
         for a, gap in sweep:
             assert gap == stabilization_gap(A, B, a, t)
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_dense_sweep_gaps_are_lone_solves_bit_for_bit(self, layout):
+        rng = np.random.default_rng(8)
+        n = 48
+        a = _conditioned(rng, n, 1e3)
+        if layout == "F":
+            a = np.asfortranarray(a)
+        elif layout == "strided":
+            a = np.repeat(np.repeat(a, 2, axis=0), 2, axis=1)[::2, ::2]
+        x = rng.standard_normal(n)
+        alphas = list(np.geomspace(1e-1, 1e-9, 9))
+        sweep = stabilization_sweep(DiscreteOperator.dense(a), Stabilizer.scalar_alpha(), alphas, x)
+        for a_i, gap in sweep:
+            expect = float(np.max(np.abs(np.linalg.solve(a + a_i * np.eye(n), a_i * x))))
+            assert gap == expect
 
     def test_sweep_rejects_nonpositive_alpha(self):
         A = DiscreteOperator.volterra(0.0, 1.0, 33)
