@@ -2,27 +2,27 @@
 
 Exit codes: 0 success, 2 malformed input (flags, CSV, problem file, an
 interval wider than the float64 range), an output path that cannot be
-written or a closed stdout, 3 non-uniform sample grid, 4 alpha below grid
-spacing (differentiate --strict only; else a warning line), 5 singular
-stabilized system. ``main`` alone maps a library error to its code; a
-command returns a code only for what it checks itself. differentiate checks
-its flags before it reads the CSV, so a bad flag exits 2 whatever the file
-holds. All file output is written atomically (temp file in the target
-directory, then rename) and floats are printed as ``repr(float(x))`` prints
-them, the shortest decimal that round-trips, so re-reading a produced CSV
-recovers the exact binary values. CSV floats get those bytes from the
-vectorized formatter in ``_floatfmt``, a block of rows at a time, not from
-one ``repr`` call per value.
+written, a closed stdout or too little memory, 3 non-uniform sample grid, 4
+alpha below grid spacing (differentiate --strict only; else a warning
+line), 5 singular stabilized system. ``main`` alone maps a library error to
+its code; a command returns a code only for what it checks itself.
+differentiate checks its flags before it reads the CSV, so a bad flag exits
+2 whatever the file holds. All file output is written atomically (temp file
+in the target directory, then rename) and floats are printed as
+``repr(float(x))`` prints them, the shortest decimal that round-trips, so
+re-reading a produced CSV recovers the exact binary values. CSV floats get
+those bytes from the vectorized formatter in ``_floatfmt``, a block of rows
+at a time, not from one ``repr`` call per value.
 
-CSV input takes the first of three readers that accepts it: the plain
-reader, ``np.loadtxt`` on the stripped lines after the header, and
-``float()`` per field (the rest, with line-numbered errors). The plain
-reader runs only where ``np.longdouble`` is the x87 80-bit format, and
-takes only lines of digits, '.', 'e', 'E', '+' and '-' joined by ',' and
-each ended by '\\n': numpy's long-double text parser (C ``strtold``) reads
-them, and each value is rounded on to float64, exactly as ``float()``
-reads it. numpy is handed lines, never a file name, so it neither
-decompresses by suffix nor fetches a URL-like path.
+CSV input takes one of two readers. The plain reader takes lines of digits,
+'.', 'e', 'E', '+' and '-' joined by ',' and each ended by '\\n', and files
+that differ from that form only by '\\r\\n' line ends, blank lines, or spaces
+and tabs around fields. numpy's text parser reads them, with the
+long-double one (C ``strtold``) where that is the x87 80-bit format and the
+float64 one elsewhere, and each value comes out exactly as ``float()``
+reads it. The line loop, one ``float()`` call per field, takes the rest and
+names the line of a bad value. numpy is handed bytes, never a file name, so
+it neither decompresses by suffix nor fetches a URL-like path.
 """
 
 from __future__ import annotations
@@ -201,11 +201,10 @@ class _CsvError(Exception):
     pass
 
 
-# loadtxt strips these around a field as whitespace; float() rejects them.
-_LOADTXT_ONLY_SPACE = b"\x1c\x1d\x1e\x1f"
-_SCAN_BYTES = 1 << 20
 # The bytes of a field _read_plain parses, and the bytes it reads at a time.
 _PLAIN_FIELD_BYTES = b"0123456789.eE+-"
+_IS_FIELD_BYTE = np.zeros(256, bool)
+_IS_FIELD_BYTE[list(_PLAIN_FIELD_BYTES)] = True
 _PLAIN_BLOCK_BYTES = 1 << 18
 _FLOAT64_TINY = 2.2250738585072014e-308  # the least normal float64
 
@@ -226,39 +225,26 @@ def read_csv_columns(path) -> tuple[list[str], np.ndarray]:
         raise _CsvError(f"cannot read {path}: {exc}") from exc
 
 
-def _next_filled_line(fh) -> tuple[int, int, str]:
-    """(lines read, position, stripped text) of the next nonblank line; text '' at the end."""
+def _next_filled_line(fh) -> tuple[int, str]:
+    """(lines read, stripped text) of the next nonblank line; text '' at the end."""
     count = 0
     while True:
-        position = fh.tell()
         line = fh.readline()
         count += 1
         if not line or line.strip():
-            return count, position, line.strip()
+            return count, line.strip()
 
 
 def _read_csv(fh, path) -> tuple[list[str], np.ndarray]:
-    skip, _, header_line = _next_filled_line(fh)
-    _, start, first_row = _next_filled_line(fh)
-    if not first_row:
+    skip, header_line = _next_filled_line(fh)
+    if not _next_filled_line(fh)[1]:
         raise _CsvError("need a header line and at least one data row")
     header = [field.strip() for field in header_line.split(",")]
-    # Plain decimal fields take _read_plain, and other well-formed input one
-    # np.loadtxt call. loadtxt converts each field with the interpreter's own
-    # PyOS_string_to_double, and strips the whitespace str.strip does around
-    # it, so the values it accepts are the ones float() gives. Three tiers:
-    # 1. _read_plain, where np.longdouble is the x87 format and every line
-    #    after the header is plain fields joined by ',' and ended by '\n'.
-    # 2. loadtxt on the stripped lines after the header, where a
-    #    whitespace-only line is empty and skipped, as a blank one is.
-    # 3. The line loop, for what loadtxt rejects (also '1_0' or non-ASCII
-    #    digits, which float() takes) and a file holding a byte of
-    #    _LOADTXT_ONLY_SPACE.
+    # The line loop takes what _read_plain does not (a lone '\r', a space
+    # inside a field, an empty field, '1_0', non-ASCII digits, whitespace
+    # other than ' \t') and names the line of a bad or non-finite value.
     data = _read_plain(path, skip, len(header))
-    if data is None and not _holds_loadtxt_only_space(path):
-        fh.seek(start)
-        data = _loadtxt(map(str.strip, fh))
-    if data is None or data.shape[1] != len(header) or not np.isfinite(data).all():
+    if data is None or not np.isfinite(data).all():
         fh.seek(0)
         data = _parse_rows(list(map(str.strip, fh.read().split("\n"))), len(header))
     return header, data
@@ -273,44 +259,68 @@ def _long_double_is_x87() -> bool:
 def _read_plain(path, skip: int, width: int) -> np.ndarray | None:
     """The rows after the ``skip`` lines that end at the header; None unless plain.
 
-    Plain: every line holds ``width`` fields of _PLAIN_FIELD_BYTES joined by
-    ',' and ends with '\\n', the last one too, and the skipped lines hold no
-    '\\r' (so they are the lines the text-mode header search counted). The
-    file is read _PLAIN_BLOCK_BYTES at a time, each block cut after its last
-    '\\n', into one array grown in place.
+    Plain: as it is or _unspaced, each line holds ``width`` fields of
+    _PLAIN_FIELD_BYTES joined by ',', and the skipped lines hold no lone
+    '\\r' (so text mode counted the same lines). The file is read in blocks
+    of whole lines into one array grown in place.
     """
-    if not _long_double_is_x87():
-        return None
     with open(path, "rb") as raw:
-        if any(b"\r" in raw.readline() for _ in range(skip)):
+        if any(b"\r" in raw.readline().replace(b"\r\n", b"") for _ in range(skip)):
             return None
         start = raw.tell()
-        size = raw.seek(-1, os.SEEK_END) + 1
-        if raw.read(1) != b"\n":  # turned away before any block is parsed
-            return None
+        size = raw.seek(0, os.SEEK_END)
         raw.seek(start)
         data = np.empty((0, width))
-        filled, tail = 0, b""
-        while chunk := raw.read(_PLAIN_BLOCK_BYTES):
-            block = tail + chunk
-            cut = block.rfind(b"\n") + 1
-            block, tail = block[:cut], block[cut:]
-            if not block:
-                continue
+        filled = consumed = 0
+        for block in _whole_lines(raw):
             values = _parse_plain(block, width)
+            if values is None and (unspaced := _unspaced(block, width)) is not None:
+                values = _parse_plain(unspaced, width)
             if values is None:
                 return None
+            consumed += len(block)
             rows = filled + len(values)
             if rows > len(data):
                 # room for the whole file at the bytes per row read so far
-                projected = rows * (size - start) // (raw.tell() - start - len(tail))
+                projected = rows * (size - start) // consumed
                 data.resize((max(rows, projected * 65 // 64 + 1), width), refcheck=False)
             data[filled:rows] = values
             filled = rows
-    if tail:
-        return None
     data.resize((filled, width), refcheck=False)
     return data
+
+
+def _whole_lines(raw):
+    """The rest of the binary file ``raw`` in blocks of whole lines, each ended by '\\n'."""
+    tail = b""
+    while chunk := raw.read(_PLAIN_BLOCK_BYTES):
+        block = tail + chunk
+        cut = block.rfind(b"\n") + 1
+        if cut:
+            yield block[:cut]
+        tail = block[cut:]
+    if tail:
+        yield tail + b"\n"
+
+
+def _unspaced(block: bytes, width: int) -> bytes | None:
+    """``block`` without '\\r' before '\\n', blank lines, spaces and tabs; None if a field splits.
+
+    float() strips spaces and tabs at a field's ends only. One inside a
+    field splits its run of field bytes, so the runs must number ``width``
+    a line; an empty field, which could make up for it, numpy rejects.
+    """
+    runs = None
+    if b" " in block or b"\t" in block:
+        field = _IS_FIELD_BYTE[np.frombuffer(block, np.uint8)]
+        runs = np.count_nonzero(field[:-1] > field[1:])  # the block ends with '\n'
+        block = block.translate(None, b" \t")
+    if b"\r" in block:
+        block = block.replace(b"\r\n", b"\n")
+    while b"\n\n" in block:
+        block = block.replace(b"\n\n", b"\n")
+    block = block.lstrip(b"\n")
+    return block if runs in (None, block.count(b"\n") * width) else None
 
 
 def _parse_plain(block: bytes, width: int) -> np.ndarray | None:
@@ -319,54 +329,36 @@ def _parse_plain(block: bytes, width: int) -> np.ndarray | None:
     if block.translate(None, _PLAIN_FIELD_BYTES) != (b"," * (width - 1) + b"\n") * rows:
         return None
     fields = block.replace(b"\n", b",")
+    # strtold (x87) beats numpy's float64 reader, which elsewhere gives
+    # float()'s bits: it converts with the routine float() uses.
+    x87 = _long_double_is_x87()
     try:
         with warnings.catch_warnings():
             # a field not read to its end: numpy 2 raises, numpy 1.x warns
             warnings.simplefilter("error", DeprecationWarning)
-            longs = np.fromstring(fields, dtype=np.longdouble, sep=",")
+            parsed = np.fromstring(fields, dtype=np.longdouble if x87 else float, sep=",")
     except (ValueError, DeprecationWarning):
         return None
-    if longs.size != rows * width:
+    if parsed.size != rows * width:
         return None
+    if not x87:
+        return parsed.reshape(rows, width)
     with np.errstate(over="ignore"):
-        values = longs.astype(float)
+        values = parsed.astype(float)
     # strtold rounds the decimal correctly to 64 bits, and every float64
     # midpoint is a 64-bit value, so rounding that on to float64 gives what
     # float() gives unless the long double lies on a midpoint (its low 11
     # significand bits read 0x400) or float64 rounds it on the coarser grid
     # at and below its least normal value. Those fields, zeros aside, are
     # read again.
-    again = np.flatnonzero(((longs.view(np.uint64)[::2] & 0x7FF) == 0x400)
+    again = np.flatnonzero(((parsed.view(np.uint64)[::2] & 0x7FF) == 0x400)
                            | (np.abs(values) <= _FLOAT64_TINY))
-    again = again[longs[again] != 0]
+    again = again[parsed[again] != 0]
     if again.size:
         ends = np.flatnonzero(np.frombuffer(fields, np.uint8) == ord(","))
         for i in again.tolist():
             values[i] = float(fields[ends[i - 1] + 1 if i else 0:ends[i]])
     return values.reshape(rows, width)
-
-
-def _holds_loadtxt_only_space(path) -> bool:
-    """Whether the file holds a byte of _LOADTXT_ONLY_SPACE, read 1 MiB at a time.
-
-    In an ASCII-compatible encoding these bytes are exactly those characters.
-    """
-    with open(path, "rb") as raw:
-        return any(byte in chunk for chunk in iter(lambda: raw.read(_SCAN_BYTES), b"")
-                   for byte in _LOADTXT_ONLY_SPACE)
-
-
-def _loadtxt(lines) -> np.ndarray | None:
-    """The float rows np.loadtxt reads from the str ``lines``, or None when it rejects them.
-
-    Lines that are str are not decoded, so loadtxt needs no encoding.
-    """
-    try:
-        return np.loadtxt(lines, delimiter=",", comments=None, dtype=float, ndmin=2)
-    except UnicodeDecodeError:  # a ValueError, but the file cannot be read at all
-        raise
-    except ValueError:
-        return None
 
 
 def _parse_rows(lines: list[str], width: int) -> np.ndarray:
@@ -431,12 +423,9 @@ def _cmd_differentiate(args) -> int:
     if h <= 0.0 or np.any(spacing <= 0.0) or np.max(np.abs(spacing - h)) > 1e-9 * h:
         return _fail("t must be strictly increasing with uniform spacing", EXIT_GRID)
 
-    try:
-        samples = GridFunction(t[0], t[-1], y)
-    except ValueError as exc:
-        # Uniform steps just below a power of two can be finer than the
-        # float spacing at t's far end; the checks above let them through.
-        return _fail(str(exc), EXIT_GRID)
+    # Distinct floats within 1e-9 of one step leave GridFunction's step
+    # check nothing to reject short of about 2**52 samples.
+    samples = GridFunction(t[0], t[-1], y)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", AlphaTooSmall)
         result = regularized_derivative(samples, alpha, baseline=baseline, window=args.window)
@@ -690,6 +679,8 @@ def main(argv=None) -> int:
         return _fail(f"malformed CSV: {exc}", EXIT_USAGE)
     except PerturbregError as exc:
         return _fail(str(exc), EXIT_USAGE)
+    except MemoryError as exc:  # numpy says how much it could not allocate
+        return _fail(str(exc) or "out of memory", EXIT_USAGE)
 
 
 def run() -> None:

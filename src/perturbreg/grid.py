@@ -23,15 +23,29 @@ def _float_width(a, b) -> float:
 def _check_step(a, b, n: int) -> None:
     """Reject a grid of n points on [a, b] whose step float64 cannot hold.
 
-    Below the float spacing at max(|a|, |b|), neighbouring samples t_i round
-    onto the same float, and a derivative or a fit over them divides by zero.
-    The interval must already be known to lie within the float64 range.
+    The samples are those of np.linspace(a, b, n), t_i = i*h + a. Below the
+    float spacing at the interior sample of largest magnitude, t_1 or
+    t_(n-2), neighbouring samples round onto the same float, and a
+    derivative or a fit over them divides by zero. The endpoints need no
+    check of their own: the float next to a on the side of t_1 lies no
+    farther off than the spacing at t_1, and likewise at b. With n = 2 there
+    is no interior sample, and a < b is enough. A subnormal step is rounded
+    to a multiple of the least subnormal, so i*h can reach b before i does;
+    t_(n-2) must stay below b. The interval must already be known to lie
+    within the float64 range.
     """
-    h = _float_width(a, b) / (n - 1)
-    spacing = math.ulp(max(abs(float(a)), abs(float(b))))
+    if n <= 2:
+        return
+    start, stop = float(a), float(b)
+    h = (stop - start) / (n - 1)
+    last = (n - 2) * h + start
+    spacing = math.ulp(max(abs(h + start), abs(last)))
     if h < spacing:
         raise ValueError(f"grid step {h:g} on [{a}, {b}] is below the float64 spacing "
                          f"{spacing:g} there: its samples cannot be told apart")
+    if last >= stop:
+        raise ValueError(f"grid step {h:g} on [{a}, {b}] is rounded too coarsely in float64: "
+                         f"its samples run past {b}")
 
 
 @dataclass(frozen=True)

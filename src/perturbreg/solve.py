@@ -122,8 +122,11 @@ class SolveReport:
 
     ``gap``, ``bound`` and ``bound_components = (gap, amplification,
     x_star_norm)`` are filled only when the exact problem is supplied for
-    comparison, and ``bound`` only while q_sup < 1; it then equals
-    gap + amplification * (1 + x_star_norm + gap).
+    comparison, and ``bound`` only while q_sup < 1 and the exact problem
+    bears delta out; it then equals gap + amplification * (1 + x_star_norm + gap).
+    ``delta_realized`` is the noise the exact problem shows,
+    max(||A_tilde - A||_inf, ||f_tilde - A x*||_inf), filled by
+    ``solve_perturbed`` when it is given both x* and the exact operator.
     """
 
     solution: np.ndarray
@@ -137,6 +140,7 @@ class SolveReport:
     bound: float | None = None
     bound_components: tuple[float, float, float] | None = None
     observed_error: float | None = None
+    delta_realized: float | None = None
     selection: np.ndarray | None = None
 
 
@@ -176,13 +180,15 @@ def _as_vector(x) -> np.ndarray:
 
 def _report(x: np.ndarray, residual: float, c_est: float, c_sup: float, delta: float,
             q_max: float, x_star=None, gap: float | None = None,
-            selection=None) -> SolveReport:
+            selection=None, delta_realized: float | None = None,
+            delta_holds: bool = True) -> SolveReport:
     """The report of a stabilized solve; both solvers build theirs here.
 
     Owns both margins, q_est = delta * c_est with its flag q_est >= q_max and
     q_sup = delta * c_sup. With ``x_star`` the report carries the observed
-    error; with the stabilization ``gap`` as well, and q_sup < 1, it also
-    carries the sup-norm error bound and its components.
+    error; with the stabilization ``gap`` as well, q_sup < 1 and
+    ``delta_holds``, it also carries the sup-norm error bound and its
+    components.
     """
     q_est = invertibility_margin(delta, c_est)
     q_sup = invertibility_margin(delta, c_sup)
@@ -190,7 +196,7 @@ def _report(x: np.ndarray, residual: float, c_est: float, c_sup: float, delta: f
     if x_star is not None:
         xs = _as_vector(x_star)
         observed = float(np.max(np.abs(x - xs)))
-        if gap is not None and q_sup < 1.0:
+        if gap is not None and q_sup < 1.0 and delta_holds:
             x_norm = float(np.max(np.abs(xs)))
             bound = error_bound(gap, delta, c_sup, q_sup, x_norm)
             components = (gap, delta * c_sup / (1.0 - q_sup), x_norm)
@@ -206,6 +212,7 @@ def _report(x: np.ndarray, residual: float, c_est: float, c_sup: float, delta: f
         bound=bound,
         bound_components=components,
         observed_error=observed,
+        delta_realized=delta_realized,
         selection=selection,
     )
 
@@ -408,6 +415,39 @@ def stabilization_sweep(A: DiscreteOperator, B: Stabilizer, alphas: Sequence[flo
             for a in alphas]
 
 
+_EPS = float(np.finfo(float).eps)
+
+
+def _realized_noise(A_tilde: DiscreteOperator, A_exact: DiscreteOperator, f: np.ndarray,
+                    x_star: np.ndarray, delta: float) -> tuple[float, bool]:
+    """(delta_realized, whether it stays within delta), as ``solve_perturbed`` states them.
+
+    Two running integrals on n points are not densified: row i of each holds
+    h/2, i - 1 times h and h/2, so they differ by (n - 1) |h~ - h| and
+    || |A_tilde| + |A_exact| ||_inf is (n - 1) (h~ + h). Any other pair is
+    compared as dense matrices. Noise, or its rounding allowance, past the
+    float64 range (A x* may overflow) claims no bound; the noise then reads inf.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        exact_f = A_exact.apply(x_star)
+        data = float(np.max(np.abs(f - exact_f)))
+        holds = data <= delta + _EPS * float(np.max(np.abs(f))) \
+            + _EPS * float(np.max(np.abs(exact_f)))
+        if A_tilde.is_volterra and A_exact.is_volterra and A_tilde.n == A_exact.n:
+            operator = (A_tilde.n - 1) * abs(A_tilde.h - A_exact.h)
+            scale = (A_tilde.n - 1) * (A_tilde.h + A_exact.h)
+        else:
+            observed, exact = A_tilde.as_matrix(), A_exact.as_matrix()
+            work = np.subtract(observed, exact)
+            operator = float(np.max(np.abs(work, out=work).sum(axis=1)))
+            np.abs(observed, out=work)
+            work += np.abs(exact)
+            scale = float(np.max(work.sum(axis=1)))
+    if not (math.isfinite(data) and math.isfinite(operator)):
+        return math.inf, False
+    return max(operator, data), holds and operator <= delta + _EPS * scale < math.inf
+
+
 def solve_perturbed(A_tilde: DiscreteOperator, B: Stabilizer, alpha: float, f_tilde,
                     config: RegConfig, x_star=None,
                     A_exact: DiscreteOperator | None = None) -> SolveReport:
@@ -435,7 +475,12 @@ def solve_perturbed(A_tilde: DiscreteOperator, B: Stabilizer, alpha: float, f_ti
     x_star, A_exact : optional
         Exact solution and exact operator, when known. With x_star alone the
         report carries the observed error; with both it also carries the
-        stabilization gap and the error bound.
+        stabilization gap, the realized noise
+        delta_realized = max(||A_tilde - A_exact||_inf, ||f_tilde - A_exact x*||_inf)
+        and the error bound. The bound rests on noise of at most delta, so it
+        is claimed only while each of the two norms is at most delta plus the
+        rounding of its subtraction: eps * (||f_tilde||_inf + ||A_exact x*||_inf)
+        for the data, eps * || |A_tilde| + |A_exact| ||_inf for the operator.
 
     Raises
     ------
@@ -451,8 +496,11 @@ def solve_perturbed(A_tilde: DiscreteOperator, B: Stabilizer, alpha: float, f_ti
     if A_tilde.size != f.size:
         raise ValueError(f"operator size {A_tilde.size} does not match rhs size {f.size}")
     x, residual, c_est, c_sup = _certified_solve(A_tilde, B, alpha, f)
-    gap = None
+    gap = delta_realized = None
+    delta_holds = True
     if x_star is not None and A_exact is not None:
         gap = stabilization_gap(A_exact, B, alpha, x_star)
+        delta_realized, delta_holds = _realized_noise(A_tilde, A_exact, f, _as_vector(x_star),
+                                                      config.delta)
     return _report(x, residual, c_est, c_sup, config.delta, config.q_max, x_star=x_star,
-                   gap=gap)
+                   gap=gap, delta_realized=delta_realized, delta_holds=delta_holds)

@@ -1,9 +1,12 @@
 """Tests for uniform-grid function containers."""
 
+import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from perturbreg import GridFunction
 
@@ -65,7 +68,7 @@ def test_rejects_python_int_endpoint_beyond_float64_range(a, b):
 
 @pytest.mark.parametrize("a, b, n", [
     (1e16, 1e16 + 8, 1000),  # step 0.008 where floats are 2 apart
-    (1.0 - 3 * 2.0**-53, 1.0, 4),  # step 2**-53, below the spacing 2**-52 at b = 1
+    (1.0, 1.0 + 2.0**-52, 3),  # t_1 = 1 + 2**-53 rounds onto a = 1
     (-1e16 - 8, -1e16, 10),
 ])
 def test_rejects_step_below_the_float_spacing(a, b, n):
@@ -73,10 +76,56 @@ def test_rejects_step_below_the_float_spacing(a, b, n):
         GridFunction(a, b, np.zeros(n))
 
 
-@pytest.mark.parametrize("a, b, n", [(1e16, 1e16 + 8, 5), (0.0, 1e-320, 3),
-                                     (1.0 - 3 * 2.0**-52, 1.0, 4)])
+@pytest.mark.parametrize("a, b, n", [
+    (1e16, 1e16 + 8, 5), (0.0, 1e-320, 3), (1.0 - 3 * 2.0**-52, 1.0, 4),
+    # steps of 2**-53 up to b = 1: below the spacing at b, at the spacing inside
+    (1.0 - 3 * 2.0**-53, 1.0, 4), (1.0 - 2.0**-53, 1.0, 2),
+])
 def test_step_at_the_float_spacing_accepted(a, b, n):
-    assert GridFunction(a, b, np.zeros(n)).n == n
+    g = GridFunction(a, b, np.zeros(n))
+    assert g.n == n
+    assert np.all(np.diff(g.t) > 0)
+
+
+def test_rejects_subnormal_step_that_runs_past_b():
+    # 31 least subnormals over 12 steps: h rounds to 3 of them, and 11 * h passes b
+    a = 2.2250738585072014e-308
+    with pytest.raises(ValueError, match="too coarsely in float64: its samples run past"):
+        GridFunction(a, a + 31 * 5e-324, np.zeros(13))
+
+
+def _nudged(x, steps):
+    """The float ``steps`` floats above ``x`` (below it for negative steps)."""
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.copysign(math.inf, steps))
+    return x
+
+
+@st.composite
+def grids(draw):
+    """(a, b, n), mostly a few floats apart near a power of two, where the spacing changes."""
+    n = draw(st.integers(2, 40))
+    if draw(st.booleans()):
+        edge = math.ldexp(draw(st.sampled_from([1.0, -1.0])), draw(st.integers(-1074, 1023)))
+        a = _nudged(edge, draw(st.integers(-3 * n, 3 * n)))
+        b = _nudged(a, draw(st.integers(1, 4 * n)))
+    else:
+        a, b = sorted(draw(st.lists(st.floats(-1e300, 1e300), min_size=2, max_size=2,
+                                    unique=True)))
+    assume(math.isfinite(b) and b > a)
+    return a, b, n
+
+
+@settings(max_examples=1000, deadline=None)
+@given(grid=grids())
+def test_every_accepted_grid_has_strictly_increasing_samples(grid):
+    a, b, n = grid
+    try:
+        g = GridFunction(a, b, np.zeros(n))
+    except ValueError as exc:
+        assert "below the float64 spacing" in str(exc) or "too coarsely" in str(exc)
+        return
+    assert np.all(np.diff(g.t) > 0)
 
 
 def test_widest_finite_interval_accepted():

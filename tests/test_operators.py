@@ -210,11 +210,14 @@ class TestDiscreteOperator:
         with pytest.raises(ValueError, match="below the float64 spacing"):
             DiscreteOperator.volterra(1e16, 1e16 + 8, 1000)
         with pytest.raises(ValueError, match="below the float64 spacing"):
-            DiscreteOperator.volterra(0.5, 1.0, 2**51 + 2)
+            DiscreteOperator.volterra(0.5, 1.0, 2**52 + 2)
 
     def test_volterra_accepts_step_at_the_float_spacing(self):
-        # the check reads only a, b and n: no samples are made
+        # the check reads only a, b and n: no samples are made. Floats lie
+        # 2**-53 apart below 1, so a step just under 2**-52 is two of them
         assert DiscreteOperator.volterra(0.5, 1.0, 2**51 + 1).h == 2.0**-52
+        assert DiscreteOperator.volterra(0.5, 1.0, 2**51 + 2).h < 2.0**-52
+        assert DiscreteOperator.volterra(0.5, 1.0, 2**52 + 1).h == 2.0**-53
 
     def test_apply_checks_operand_size(self):
         op = DiscreteOperator.dense(np.eye(3))

@@ -311,6 +311,118 @@ class TestVolterraWithoutMatrix:
         np.testing.assert_array_equal(rep.solution, expect)
 
 
+class TestRealizedNoise:
+    """The bound is claimed only while the exact problem shows noise within delta."""
+
+    def test_exact_data_that_refutes_delta_claims_no_bound(self):
+        # f - A x* = [1, 1] against delta = 1e-4: a bound of 9.90e-5 would
+        # face an observed error of 0.990
+        A = DiscreteOperator.dense(np.eye(2))
+        alpha = coordinate_alpha(1e-4, SqrtDelta())
+        rep = solve_perturbed(A, Stabilizer.scalar_alpha(), alpha, np.ones(2),
+                              RegConfig(delta=1e-4, alpha=alpha), x_star=np.zeros(2),
+                              A_exact=A)
+        assert rep.delta_realized == 1.0
+        assert rep.observed_error == pytest.approx(0.990, rel=1e-3)
+        assert rep.bound is None and rep.bound_components is None
+        assert rep.gap == 0.0
+
+    @pytest.mark.parametrize("op_noise, data_noise, claimed", [
+        (0.5e-3, 0.25e-3, True), (0.25e-3, 1e-3, True), (2e-3, 0.5e-3, False),
+        (0.5e-3, 2e-3, False)])
+    def test_realized_noise_is_the_larger_norm(self, op_noise, data_noise, claimed):
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((6, 6))
+        a = a @ a.T / 6
+        e = np.zeros((6, 6))
+        e[2, :3] = op_noise / 3  # one row sums to op_noise
+        x_star = rng.standard_normal(6)
+        f = a @ x_star
+        f[4] += data_noise
+        rep = solve_perturbed(DiscreteOperator.dense(a + e), Stabilizer.scalar_alpha(), 0.5, f,
+                              RegConfig(delta=1e-3, alpha=0.5), x_star=x_star,
+                              A_exact=DiscreteOperator.dense(a))
+        assert rep.delta_realized == pytest.approx(max(op_noise, data_noise), rel=1e-9)
+        assert (rep.bound is not None) == claimed
+
+    def test_running_integrals_on_one_grid_differ_by_zero(self, no_densify):
+        n, alpha = 513, 0.01
+        t = np.linspace(0.0, 1.0, n)
+        observed = DiscreteOperator.volterra(0.0, 1.0, n)
+        f = observed.apply(t)
+        f[7] += 1e-4
+        rep = solve_perturbed(observed, Stabilizer.scalar_alpha(), alpha, f,
+                              RegConfig(delta=1e-4, alpha=alpha), x_star=t,
+                              A_exact=DiscreteOperator.volterra(0.0, 1.0, n))
+        assert rep.delta_realized == pytest.approx(1e-4, rel=1e-9)
+        assert rep.bound is not None
+
+    def test_operators_of_two_kinds_are_compared_densely(self):
+        n, alpha = 33, 0.1
+        t = np.linspace(0.0, 1.0, n)
+        exact = DiscreteOperator.volterra(0.0, 1.0, n)
+        config = RegConfig(delta=1e-3, alpha=alpha)
+        same = solve_perturbed(DiscreteOperator.dense(exact.as_matrix()),
+                               Stabilizer.scalar_alpha(), alpha, exact.apply(t), config,
+                               x_star=t, A_exact=exact)
+        assert same.delta_realized == 0.0 and same.bound is not None
+        wider = exact.as_matrix() * 1.5
+        other = solve_perturbed(DiscreteOperator.dense(wider), Stabilizer.scalar_alpha(), alpha,
+                                exact.apply(t), config, x_star=t, A_exact=exact)
+        assert other.delta_realized == pytest.approx(0.5)
+        assert other.bound is None
+
+    @pytest.mark.parametrize("a, b, claimed", [(2.0, 3.0, True), (0.0, 1.0 + 1e-3, False),
+                                               (0.0, 1.0 + 1e-6, True)])
+    def test_running_integrals_on_two_grids_differ_by_their_steps(self, no_densify, a, b,
+                                                                  claimed):
+        # (n - 1) |h~ - h| without an n x n matrix: 0 for a shifted grid
+        n, alpha = 4097, 0.1
+        t = np.linspace(0.0, 1.0, n)
+        exact = DiscreteOperator.volterra(0.0, 1.0, n)
+        rep = solve_perturbed(DiscreteOperator.volterra(a, b, n), Stabilizer.scalar_alpha(),
+                              alpha, exact.apply(t), RegConfig(delta=1e-4, alpha=alpha),
+                              x_star=t, A_exact=exact)
+        assert rep.delta_realized == pytest.approx((b - a) - 1.0, abs=1e-15)
+        assert (rep.bound is not None) == claimed
+
+    def test_exact_data_past_the_float64_range_claims_no_bound(self):
+        # A x* overflows: the noise it would show is not a float64
+        a = np.array([[1.0, 0.5], [0.5, 1.0]])
+        x_star = np.array([1.5e308, 1.5e308])
+        rep = solve_perturbed(DiscreteOperator.dense(a), Stabilizer.scalar_alpha(), 0.5,
+                              np.ones(2), RegConfig(delta=1e-3, alpha=0.5), x_star=x_star,
+                              A_exact=DiscreteOperator.dense(a))
+        assert rep.delta_realized == math.inf
+        assert rep.bound is None
+
+    def test_closed_form_matches_the_dense_norm(self):
+        n = 65
+        wide = DiscreteOperator.volterra(0.0, 1.3, n)
+        narrow = DiscreteOperator.volterra(0.5, 1.5, n)
+        dense = np.abs(wide.as_matrix() - narrow.as_matrix()).sum(axis=1).max()
+        noise, _ = solve._realized_noise(wide, narrow, np.zeros(n), np.zeros(n), 1.0)
+        assert noise == pytest.approx(dense, rel=1e-14)
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(2, 30), seed=st.integers(0, 2**32 - 1),
+           log_delta=st.floats(-8.0, -2.0))
+    def test_noise_of_exactly_delta_keeps_the_bound(self, n, seed, log_delta):
+        # f - A x* computed in floating point can land a few ulps above delta;
+        # the rounding allowance keeps the bound
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((n, n))
+        delta = 10.0 ** log_delta
+        x_star = rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 3.0)
+        f = a @ x_star + delta * rng.choice([-1.0, 1.0], n)
+        op = DiscreteOperator.dense(a)
+        alpha = 10.0 * np.abs(a).sum(axis=1).max()  # q_sup well below 1
+        rep = solve_perturbed(op, Stabilizer.scalar_alpha(), alpha, f,
+                              RegConfig(delta=delta, alpha=alpha), x_star=x_star, A_exact=op)
+        assert rep.delta_realized == pytest.approx(delta, rel=1e-6)
+        assert rep.bound is not None
+
+
 def _orthogonal(rng, n):
     q, r = np.linalg.qr(rng.standard_normal((n, n)))
     return q * np.sign(np.diag(r))
