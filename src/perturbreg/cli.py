@@ -588,7 +588,10 @@ def _cmd_sweep(args) -> int:
     stab = Stabilizer.scalar_alpha() if problem.basis is None else problem.basis.stabilizer
 
     gaps = [gap for _, gap in stabilization_sweep(op, stab, alphas, problem.exact_solution)]
-    c_est = [_c_alpha_estimate(op, stab, alpha)[0] for alpha in alphas]
+    if stab.is_scalar:
+        c_est = [_c_alpha_estimate(op, stab, alpha)[0] for alpha in alphas]
+    else:  # a finite-rank stabilizer does not depend on alpha: one inverse serves every row
+        c_est = [_c_alpha_estimate(op, stab, alphas[0])[0]] * len(alphas)
     _emit(_csv_text(["alpha", "S", "c_alpha_est", "q_est"],
                     [np.asarray(alphas), np.asarray(gaps), np.asarray(c_est),
                      np.asarray([problem.delta * c for c in c_est])]), args.out)

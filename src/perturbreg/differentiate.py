@@ -4,7 +4,7 @@ Differentiation is recast as an integral equation: the unknown derivative
 (minus its left-endpoint value) integrates to the detrended data g. The
 stabilized equation (V + alpha I) x = g, V the running trapezoid integral,
 is solved on the grid by ``DiscreteOperator.solve_shifted``: the O(n)
-inverse behind ``solve``, ``sweep`` and the certificate c_alpha = 2/alpha.
+inverse behind ``solve``, ``sweep`` and the closed-form certificate c_sup.
 It trades the unbounded noise amplification of finite differences for a
 controlled 1/alpha amplification plus an O(alpha) bias.
 

@@ -169,6 +169,27 @@ class DiscreteOperator:
         u[..., 1:] = np.diff(f, axis=-1) / (alpha + half_h)
         return first_order_scan(u, (alpha - half_h) / (alpha + half_h))
 
+    def shifted_inverse_norm(self, alpha: float) -> float:
+        """||(V + alpha * I)^-1||_inf for the running integral V, in O(1).
+
+        With p = alpha + h/2 and r = (alpha - h/2)/p, row 0 of the inverse
+        is e_0/alpha and row i >= 1 holds r^i/alpha - r^(i-1)/p at column 0,
+        (r^(i-k) - r^(i-k-1))/p at column k < i and 1/p at column i (see
+        ``solve_shifted``). Since 1 - |r| = min(h, 2 alpha)/p, the absolute
+        row sums have a closed form: for alpha <= h/2 every row sums to
+        1/alpha, and above h/2 row i sums to (2 - r^(i-1) (alpha - h/2)/alpha)/p,
+        which grows with i. So the norm is the last row's sum, or 1/alpha.
+        """
+        if not self.is_volterra:
+            raise ValueError("shifted_inverse_norm needs the running-integral operator")
+        if alpha <= 0.0:
+            raise ValueError(f"alpha must be positive, got {alpha}")
+        half_h = 0.5 * self.h
+        if alpha <= half_h:
+            return 1.0 / alpha
+        p = alpha + half_h
+        return (2.0 - ((alpha - half_h) / p) ** (self.n - 2) * ((alpha - half_h) / alpha)) / p
+
 
 def _stack_vectors(vectors, name: str) -> np.ndarray:
     """Grid functions or vectors as the raveled rows of one (k, n) array; all finite."""

@@ -10,9 +10,12 @@ stabilizer, and the resulting error bound.
 
 Each dense stabilized matrix is factored once. A certified solve inverts it,
 and that one inverse serves the solution (with one refinement step, and an
-LU solve as the fallback), the residual and both norms; a stabilization gap
-takes one LU solve, and a sweep reorders the operator once for all its
-alphas. The running integral with alpha * I needs no matrix at all.
+LU solve as the fallback), the residual, both norms and, given exact data,
+the stabilization gap by iterative refinement. A lone gap takes one LU solve,
+and a sweep reorders the operator once for all its alphas, or solves once
+for a stabilizer that does not depend on alpha. The running integral with
+alpha * I needs no matrix at all; the sup norm of its stabilized inverse has
+a closed form.
 """
 
 from __future__ import annotations
@@ -227,11 +230,33 @@ def _solve_linear(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
+_EPS = float(np.finfo(float).eps)
+
 # Power steps behind the 2-norm estimate of c_alpha_estimate. On a spectrum
 # clustered at its top (s from 1 down to 1e-3 over n = 512, plus 0.01 I) the
 # estimate reaches 0.97-0.98 of 1/sigma_min in 10 steps and about 0.987 in
 # 20; at n = 512 ten steps cost about 2 ms beside 23-26 ms for the inverse.
 _POWER_STEPS = 10
+
+# Solves behind the stabilization gap of a certified dense solve, the first
+# included: y = M~^-1 b, then y += M~^-1 (b - (A + B(alpha)) y). Each step
+# shrinks the error by a factor of at most ||M~^-1 (A~ - A)||_inf
+# <= c_sup ||A~ - A||_inf, which is below q_sup wherever a bound can be
+# claimed. On the benchmark's n = 512 dense problems the residual falls about
+# 1e4-fold a step, and the third solve reaches LU level: 0.7 ms in all,
+# against 5-6 ms for the LU solve of ``stabilization_gap`` (one BLAS thread
+# on a shared 2-vCPU machine).
+_GAP_STEPS = 10
+
+# The running integral's c_sup is its exact sup norm carried up by this many
+# n * eps, so it stays above the amplification a computed solve shows: with
+# the noise delta * sign(row i of M^-1) that attains the norm, an LU solve of
+# the dense matrix read up to 7.3 n eps above it (n = 513, alpha = h/400),
+# and the O(n) scan up to 0.9 n eps.
+_ROUNDING_PER_ROW = 16
+
+# Rows of the blocks in which ``_inf_norm`` sums a matrix.
+_NORM_BLOCK = 128
 
 
 def _shifted(matrix: np.ndarray, alpha: float) -> np.ndarray:
@@ -308,29 +333,27 @@ def _inverse_norms(inverse: np.ndarray | None) -> tuple[float, float]:
     return c_est, c_sup
 
 
-def c_alpha_estimate(A: DiscreteOperator, B: Stabilizer, alpha: float,
-                     assembled: np.ndarray | None = None) -> tuple[float, float]:
+def c_alpha_estimate(A: DiscreteOperator, B: Stabilizer, alpha: float) -> tuple[float, float]:
     """The norms of (A + B(alpha))^{-1}: returns (c_alpha_est, c_sup).
 
     ``c_sup`` is its sup norm, the one the error bound needs, and
     ``c_alpha_est`` a lower estimate of its 2-norm, the margin that q_est
-    rates. The running integral plus alpha * I has the closed bound 2/alpha
-    for both, a true sup-norm bound since alpha * ||(V + alpha I)^{-1}||_inf
-    stays below 2, and needs no matrix. Any other pair inverts the assembled
-    matrix once: c_sup is the largest absolute row sum of the inverse, exact
-    up to rounding, and c_alpha_est comes from ``_POWER_STEPS`` power steps
-    on inv^T inv; each step's gain is a lower bound on 1/sigma_min, and the
-    gains do not decrease. A singular matrix or a non-finite inverse gives
-    inf for both. Pass ``assembled`` when it is at hand, otherwise it is
-    built here. A certified solve (``solve_perturbed``) takes both norms
-    from the one inverse that also gives its solution, with one refinement
-    step and an LU fallback, and its residual.
+    rates. The running integral plus alpha * I needs no matrix: c_sup is
+    the closed form ``DiscreteOperator.shifted_inverse_norm``, between
+    1/alpha and 2/alpha, carried up by ``_ROUNDING_PER_ROW`` * n * eps, and
+    c_alpha_est keeps the closed bound 2/alpha. Any other pair inverts the
+    assembled matrix once: c_sup is the largest absolute row sum of the
+    inverse, exact up to rounding, and c_alpha_est comes from
+    ``_POWER_STEPS`` power steps on inv^T inv; each step's gain is a lower
+    bound on 1/sigma_min, and the gains do not decrease. A singular matrix
+    or a non-finite inverse gives inf for both. A certified solve
+    (``solve_perturbed``) takes both norms from the one inverse that also
+    gives its solution, its residual and its stabilization gap.
     """
     if _is_shifted_integral(A, B):
-        return 2.0 / alpha, 2.0 / alpha
-    if assembled is None:
-        assembled = _assemble(A, B, alpha)
-    return _inverse_norms(_invert(assembled))
+        c_sup = A.shifted_inverse_norm(alpha) * (1.0 + _ROUNDING_PER_ROW * A.n * _EPS)
+        return 2.0 / alpha, c_sup
+    return _inverse_norms(_invert(_assemble(A, B, alpha)))
 
 
 # The benchmark's tracer (perfbench/tracing.py) times this routine under its
@@ -339,9 +362,47 @@ def c_alpha_estimate(A: DiscreteOperator, B: Stabilizer, alpha: float,
 _c_alpha_estimate = c_alpha_estimate
 
 
-def _certified_solve(A: DiscreteOperator, B: Stabilizer, alpha: float,
-                     rhs: np.ndarray) -> tuple[np.ndarray, float, float, float]:
-    """Solve (A + B(alpha)) x = rhs; returns x, its residual, c_alpha_est and c_sup.
+def _inf_norm(matrix: np.ndarray) -> float:
+    """||matrix||_inf, summed in blocks of rows so that no second n x n array is made."""
+    return max(float(np.max(np.abs(matrix[i:i + _NORM_BLOCK]).sum(axis=1)))
+               for i in range(0, matrix.shape[0], _NORM_BLOCK))
+
+
+def _refined_gap(inverse: np.ndarray, A_exact: DiscreteOperator, B: Stabilizer, alpha: float,
+                 x_star: np.ndarray, norm: float) -> float | None:
+    """||(A_exact + B(alpha))^-1 B(alpha) x*||_inf, by iterative refinement on
+    ``inverse``, the inverse of a nearby matrix; None unless it gets there.
+
+    Up to ``_GAP_STEPS`` solves y += inverse @ (b - (A_exact + B(alpha)) y),
+    from y = 0 and b = B(alpha) x*, each with two products of O(n^2) (the
+    running integral applies in O(n)), until the residual lies at LU level,
+    n * eps * norm * ||y||_inf, with ``norm`` a bound on
+    ||A_exact + B(alpha)||_inf. A step that does not shrink the residual
+    ends the refinement.
+    """
+    level = inverse.shape[0] * _EPS * norm
+    if not math.isfinite(level):
+        return None
+    b = B.apply(alpha, x_star)
+    y = np.zeros(b.shape)
+    residual, last = b, math.inf
+    for _ in range(_GAP_STEPS):
+        y += inverse @ residual
+        residual = b - A_exact.apply(y) - B.apply(alpha, y)
+        size, left = float(np.max(np.abs(y))), float(np.max(np.abs(residual)))
+        if left <= level * size:
+            return size
+        if not left < last:
+            return None
+        last = left
+    return None
+
+
+def _certified_solve(A: DiscreteOperator, B: Stabilizer, alpha: float, rhs: np.ndarray,
+                     A_exact: DiscreteOperator | None = None, x_star: np.ndarray | None = None,
+                     noise: float | None = None
+                     ) -> tuple[np.ndarray, float, float, float, float | None]:
+    """Solve (A + B(alpha)) x = rhs; returns x, its residual, c_alpha_est, c_sup and the gap.
 
     A dense pair is assembled and inverted once. That inverse gives x and one
     refinement step, x += inverse @ (rhs - M x), and then both norms. When
@@ -349,30 +410,40 @@ def _certified_solve(A: DiscreteOperator, B: Stabilizer, alpha: float,
     above LU level, n * eps * ||M||_inf * ||x||_inf, x comes from an LU
     solve instead: at condition numbers past about 1e10 the explicit
     inverse can leave a residual far above LU's.
+
+    Given ``A_exact``, ``x_star`` and ``noise`` >= ||A - A_exact||_inf, the
+    gap is ``stabilization_gap(A_exact, B, alpha, x_star)``. A dense pair
+    takes it from the same inverse by ``_refined_gap``, with
+    ||A_exact + B(alpha)||_inf <= ||M||_inf + noise; the running integral
+    with alpha * I, a failed refinement or a singular inverse take the LU
+    solve of ``stabilization_gap``. Without them the gap is None.
     """
+    gap = None
     if _is_shifted_integral(A, B):
         x = _solve_stabilized(A, B, alpha, rhs)
         residual = float(np.max(np.abs(A.apply(x) + B.apply(alpha, x) - rhs)))
-        return (x, residual, *_c_alpha_estimate(A, B, alpha))
-    m = _assemble(A, B, alpha)
-    inverse = _invert(m)
-    if inverse is None:
-        x = _solve_linear(m, rhs)
-        return x, float(np.max(np.abs(m @ x - rhs))), math.inf, math.inf
-    with np.errstate(over="ignore", invalid="ignore"):
-        x = inverse @ rhs
-        x += inverse @ (rhs - m @ x)
-        residual = float(np.max(np.abs(m @ x - rhs)))
-        c_est, c_sup = _inverse_norms(inverse)
-        # The inverse now holds its absolute values and is not needed again:
-        # |M| goes in its place for ||M||_inf.
-        lu_level = (m.shape[0] * np.finfo(float).eps
-                    * float(np.max(np.abs(m, out=inverse).sum(axis=1)))
-                    * float(np.max(np.abs(x))))
-    if not (math.isfinite(residual) and residual <= lu_level):
-        x = _solve_linear(m, rhs)
-        residual = float(np.max(np.abs(m @ x - rhs)))
-    return x, residual, c_est, c_sup
+        c_est, c_sup = _c_alpha_estimate(A, B, alpha)
+    else:
+        m = _assemble(A, B, alpha)
+        inverse = _invert(m)
+        c_est = c_sup = math.inf
+        if inverse is not None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                x = inverse @ rhs
+                x += inverse @ (rhs - m @ x)
+                residual = float(np.max(np.abs(m @ x - rhs)))
+                m_norm = _inf_norm(m)
+                if A_exact is not None:
+                    # before _inverse_norms overwrites the signed inverse
+                    gap = _refined_gap(inverse, A_exact, B, alpha, x_star, m_norm + noise)
+                c_est, c_sup = _inverse_norms(inverse)
+                lu_level = m.shape[0] * _EPS * m_norm * float(np.max(np.abs(x)))
+        if inverse is None or not (math.isfinite(residual) and residual <= lu_level):
+            x = _solve_linear(m, rhs)
+            residual = float(np.max(np.abs(m @ x - rhs)))
+    if A_exact is not None and gap is None:
+        gap = stabilization_gap(A_exact, B, alpha, x_star)
+    return x, residual, c_est, c_sup, gap
 
 
 def stabilization_gap(A: DiscreteOperator, B: Stabilizer, alpha: float, x_star) -> float:
@@ -402,20 +473,23 @@ def stabilization_sweep(A: DiscreteOperator, B: Stabilizer, alphas: Sequence[flo
     is reordered once, into one Fortran-ordered copy; each alpha's matrix is
     copied from it, so LAPACK's own input copy reads contiguous columns. It
     sees the same column-major matrix either way, so each gap has the bits a
-    lone ``stabilization_gap`` call gives.
+    lone ``stabilization_gap`` call gives. A finite-rank stabilizer does not
+    depend on alpha, so its one gap is solved once and repeated on every row.
     """
     alphas = [float(a) for a in alphas]
     if any(a <= 0.0 for a in alphas):
         raise ValueError("sweep alphas must be positive")
-    if A.is_volterra or not B.is_scalar:
+    if not alphas:
+        return []
+    if not B.is_scalar:
+        gap = stabilization_gap(A, B, alphas[0], x_star)
+        return [(a, gap) for a in alphas]
+    if A.is_volterra:
         return [(a, stabilization_gap(A, B, a, x_star)) for a in alphas]
     columns = np.asfortranarray(A.matrix)
     xs = _as_vector(x_star)
     return [(a, float(np.max(np.abs(_solve_linear(_shifted(columns, a), a * xs)))))
             for a in alphas]
-
-
-_EPS = float(np.finfo(float).eps)
 
 
 def _realized_noise(A_tilde: DiscreteOperator, A_exact: DiscreteOperator, f: np.ndarray,
@@ -454,11 +528,17 @@ def solve_perturbed(A_tilde: DiscreteOperator, B: Stabilizer, alpha: float, f_ti
     """Solve (A_tilde + B(alpha)) x = f_tilde and report diagnostics.
 
     The running integral with alpha * I is solved by its O(n) recurrence
-    (``DiscreteOperator.solve_shifted``). Every other pair is assembled into
-    a dense matrix M and inverted once; that inverse gives x, refined by one
-    step x += M^-1 (f - M x), the residual, c_alpha_est and c_sup. When the
-    refined residual lies above LU level, n * eps * ||M||_inf * ||x||_inf,
-    or the inverse is not finite, x comes from an LU solve instead.
+    (``DiscreteOperator.solve_shifted``), and its c_sup has a closed form.
+    Every other pair is assembled into a dense matrix M and inverted once;
+    that inverse gives x, refined by one step x += M^-1 (f - M x), the
+    residual, c_alpha_est and c_sup. When the refined residual lies above LU
+    level, n * eps * ||M||_inf * ||x||_inf, or the inverse is not finite, x
+    comes from an LU solve instead. With exact data the same inverse also
+    gives the stabilization gap: iterative refinement solves
+    (A_exact + B(alpha)) y = B(alpha) x* to LU level in a few O(n^2) steps,
+    since M differs from A_exact + B(alpha) only by the operator noise; when
+    it does not get there within ``_GAP_STEPS`` solves, one LU solve gives
+    the gap.
 
     Parameters
     ----------
@@ -495,12 +575,13 @@ def solve_perturbed(A_tilde: DiscreteOperator, B: Stabilizer, alpha: float, f_ti
     f = _as_vector(f_tilde)
     if A_tilde.size != f.size:
         raise ValueError(f"operator size {A_tilde.size} does not match rhs size {f.size}")
-    x, residual, c_est, c_sup = _certified_solve(A_tilde, B, alpha, f)
-    gap = delta_realized = None
+    exact = xs = delta_realized = None
     delta_holds = True
     if x_star is not None and A_exact is not None:
-        gap = stabilization_gap(A_exact, B, alpha, x_star)
-        delta_realized, delta_holds = _realized_noise(A_tilde, A_exact, f, _as_vector(x_star),
-                                                      config.delta)
+        exact, xs = A_exact, _as_vector(x_star)
+        delta_realized, delta_holds = _realized_noise(A_tilde, exact, f, xs, config.delta)
+    # delta_realized >= ||A_tilde - A_exact||_inf, as the gap's refinement needs
+    x, residual, c_est, c_sup, gap = _certified_solve(A_tilde, B, alpha, f, exact, xs,
+                                                      delta_realized)
     return _report(x, residual, c_est, c_sup, config.delta, config.q_max, x_star=x_star,
                    gap=gap, delta_realized=delta_realized, delta_holds=delta_holds)

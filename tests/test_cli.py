@@ -1424,6 +1424,27 @@ class TestSweep:
             [alphas, [stabilization_gap(op, stab, a, x) for a in alphas], c_est,
              [0.01 * c for c in c_est]])
 
+    def test_finite_rank_stabilizer_factors_once(self, tmp_path, capsys, monkeypatch):
+        # the e_0 stabilizer does not depend on alpha: one LU solve gives the
+        # gap and one inverse c_alpha_est, for every row
+        e0 = [1.0, 0.0, 0.0, 0.0]
+        payload = {"matrix": np.diag([0.0, 1.0, 2.0, 3.0]).tolist(), "rhs": [0.0, 1.0, 2.0, 3.0],
+                   "delta": 0.01, "stabilizer": {"finite_dim": {"phis": [e0], "psis": [e0]}},
+                   "exact_solution": [1.0] * 4}
+        path = write_json(tmp_path, payload)
+        calls = {"solve": 0, "inv": 0}
+        for name in calls:
+            def counted(matrix, *args, _real=getattr(np.linalg, name), _name=name):
+                # building the stabilizer solves a 1 x 1 Gram system; count 4 x 4 only
+                calls[_name] += np.shape(matrix) == (4, 4)
+                return _real(matrix, *args)
+            monkeypatch.setattr(np.linalg, name, counted)
+        assert main(["sweep", str(path), "--alphas", "0.3,0.1,0.01"]) == 0
+        assert calls == {"solve": 1, "inv": 1}
+        _, rows = read_csv_columns_from_text(capsys.readouterr().out)
+        assert list(rows[:, 1]) == [1.0, 1.0, 1.0]
+        assert list(rows[:, 2]) == [1.0, 1.0, 1.0]
+
     def test_volterra_never_builds_the_matrix(self, tmp_path, monkeypatch):
         def refuse(n, h):
             raise AssertionError("the running-integral matrix was built")

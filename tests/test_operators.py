@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import cumulative_trapezoid
 
 from perturbreg import DiscreteOperator, GridFunction, Stabilizer
@@ -159,6 +161,45 @@ class TestSolveShifted:
             op.solve_shifted(0.0, np.ones(8))
         with pytest.raises(ValueError):
             op.solve_shifted(0.1, np.ones(9))
+
+
+class TestShiftedInverseNorm:
+    """The closed-form sup norm of (V + alpha I)^-1 against the dense inverse."""
+
+    @staticmethod
+    def row_sums(op, alpha):
+        m = cumulative_trapezoid_matrix(op.n, op.h) + alpha * np.eye(op.n)
+        return np.abs(np.linalg.inv(m)).sum(axis=1)
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.sampled_from([2, 3, 16, 257]) | st.integers(2, 300),
+           length=st.sampled_from([1.0, 3.0]), log2_alpha_of_h=st.floats(-8.0, 10.0))
+    def test_matches_the_dense_inverse(self, n, length, log2_alpha_of_h):
+        op = DiscreteOperator.volterra(0.0, length, n)
+        alpha = op.h * 2.0**log2_alpha_of_h
+        rows = self.row_sums(op, alpha)
+        assert op.shifted_inverse_norm(alpha) == pytest.approx(rows.max(), rel=1e-12)
+        # the row sums the closed form rests on: all 1/alpha up to h/2, and
+        # growing with the row above it
+        if alpha <= 0.5 * op.h:
+            np.testing.assert_allclose(rows, 1.0 / alpha, rtol=1e-12)
+        else:
+            assert rows[0] == pytest.approx(1.0 / alpha, rel=1e-12)
+            assert np.all(np.diff(rows) >= -1e-12 * rows[1:])
+
+    @pytest.mark.parametrize("alpha_of_h, scaled", [(0.25, 1.0), (0.5, 1.0), (4.0, 16 / 9)])
+    def test_scaled_norm_lies_between_one_and_two(self, alpha_of_h, scaled):
+        # alpha * norm is 1 up to alpha = h/2, and 2 alpha / (alpha + h/2) far
+        # from the left end: 16/9 at alpha = 4h
+        op = DiscreteOperator.volterra(0.0, 1.0, 4097)
+        alpha = alpha_of_h * op.h
+        assert alpha * op.shifted_inverse_norm(alpha) == pytest.approx(scaled, rel=1e-12)
+
+    def test_needs_volterra_operator_and_positive_alpha(self):
+        with pytest.raises(ValueError):
+            DiscreteOperator.dense(np.eye(2)).shifted_inverse_norm(0.1)
+        with pytest.raises(ValueError):
+            DiscreteOperator.volterra(0.0, 1.0, 5).shifted_inverse_norm(0.0)
 
 
 class TestDiscreteOperator:

@@ -285,8 +285,9 @@ class TestVolterraWithoutMatrix:
         assert rep.bound is not None
         stabilization_gap(A, Stabilizer.scalar_alpha(), alpha, t)
         stabilization_sweep(A, Stabilizer.scalar_alpha(), [0.1, 0.01], t)
-        c_closed = 2.0 / alpha
-        assert c_alpha_estimate(A, Stabilizer.scalar_alpha(), alpha) == (c_closed, c_closed)
+        c_est, c_sup = c_alpha_estimate(A, Stabilizer.scalar_alpha(), alpha)
+        assert c_est == 2.0 / alpha
+        assert c_sup == pytest.approx(A.shifted_inverse_norm(alpha), rel=1e-11)
 
     def test_non_finite_solution_is_singular(self):
         # f_0 / alpha overflows: reported as a singular system, as a failed
@@ -492,9 +493,8 @@ class TestOneInverse:
         assert rep.bound is not None
         assert len(lapack_calls["inv"]) == 1
         np.testing.assert_array_equal(lapack_calls["inv"][0], a_tilde + alpha * np.eye(n))
-        # the one LU solve is the stabilization gap's, on the exact operator
-        assert len(lapack_calls["solve"]) == 1
-        np.testing.assert_array_equal(lapack_calls["solve"][0], a_exact + alpha * np.eye(n))
+        # the stabilization gap comes from the same inverse, by refinement
+        assert len(lapack_calls["solve"]) == 0
 
     @pytest.mark.parametrize("seed", range(5))
     def test_refinement_keeps_a_moderately_conditioned_solve_off_lu(self, seed, lapack_calls):
@@ -524,6 +524,70 @@ class TestOneInverse:
                                   RegConfig(delta=0.0, alpha=1e-320))
         np.testing.assert_array_equal(rep.solution, [0.5, 2.0])
         assert (rep.c_alpha_est, rep.c_sup) == (math.inf, math.inf)
+
+
+class TestRefinedGap:
+    """With exact data a certified dense solve takes the gap from its own inverse."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(2, 40), log_cond=st.floats(0.0, 8.0), log_noise=st.floats(-12.0, -1.0),
+           log_alpha=st.floats(-6.0, 0.0), seed=st.integers(0, 2**32 - 1))
+    def test_refined_gap_is_the_lu_gap_to_lu_level(self, n, log_cond, log_noise, log_alpha,
+                                                   seed):
+        rng = np.random.default_rng(seed)
+        a_exact = _conditioned(rng, n, 10.0**log_cond)
+        noise, alpha = 10.0**log_noise, 10.0**log_alpha
+        # ||A~ - A||_inf <= noise
+        a_tilde = a_exact + noise * rng.uniform(-1.0, 1.0, (n, n)) / n
+        x_star = rng.standard_normal(n)
+        A_exact, B = DiscreteOperator.dense(a_exact), Stabilizer.scalar_alpha()
+        with mock.patch.object(solve, "stabilization_gap", wraps=stabilization_gap) as lu_gap:
+            rep = solve_perturbed(DiscreteOperator.dense(a_tilde), B, alpha, a_exact @ x_star,
+                                  RegConfig(delta=noise, alpha=alpha), x_star=x_star,
+                                  A_exact=A_exact)
+        expect = stabilization_gap(A_exact, B, alpha, x_star)
+        # both solves leave a residual at LU level, n * eps * ||K||_inf * ||y||_inf
+        # for K = A + alpha I; their solutions differ by ||K^-1||_inf times that
+        k = a_exact + alpha * np.eye(n)
+        cond = np.abs(k).sum(axis=1).max() * np.abs(np.linalg.inv(k)).sum(axis=1).max()
+        assert abs(rep.gap - expect) <= 4.0 * n * np.finfo(float).eps * cond * expect
+        if lu_gap.call_count:
+            assert rep.gap == expect
+        if rep.q_sup < 0.01 and cond < 1e6:
+            # each step shrinks the error at least 100-fold: no LU solve
+            assert lu_gap.call_count == 0
+
+    def test_refinement_that_cannot_converge_falls_back_to_one_lu_solve(self, lapack_calls):
+        rng = np.random.default_rng(9)
+        n, alpha = 20, 0.1
+        a_exact = _conditioned(rng, n, 10.0)
+        a_tilde = a_exact + rng.standard_normal((n, n))
+        x_star = rng.standard_normal(n)
+        A_exact, B = DiscreteOperator.dense(a_exact), Stabilizer.scalar_alpha()
+        rep = solve_perturbed(DiscreteOperator.dense(a_tilde), B, alpha, a_exact @ x_star,
+                              RegConfig(delta=1e-3, alpha=alpha), x_star=x_star, A_exact=A_exact)
+        assert len(lapack_calls["solve"]) == 1
+        np.testing.assert_array_equal(lapack_calls["solve"][0], a_exact + alpha * np.eye(n))
+        assert rep.gap == stabilization_gap(A_exact, B, alpha, x_star)
+        # the refinement's contraction ||M~^-1 (A~ - A)||_inf lies above 1
+        contraction = np.linalg.inv(a_tilde + alpha * np.eye(n)) @ (a_tilde - a_exact)
+        assert np.abs(contraction).sum(axis=1).max() > 1.0
+
+    def test_running_integral_exact_operator_needs_no_lu_solve(self):
+        # dense A~ beside the exact running integral: the refinement applies
+        # the integral by its running sum
+        n, alpha = 33, 0.05
+        A_exact = DiscreteOperator.volterra(0.0, 1.0, n)
+        a_tilde = A_exact.as_matrix().copy()
+        a_tilde[5, 3] += 1e-6
+        t = np.linspace(0.0, 1.0, n)
+        with mock.patch.object(solve, "stabilization_gap", wraps=stabilization_gap) as lu_gap:
+            rep = solve_perturbed(DiscreteOperator.dense(a_tilde), Stabilizer.scalar_alpha(),
+                                  alpha, A_exact.apply(t), RegConfig(delta=1e-5, alpha=alpha),
+                                  x_star=t, A_exact=A_exact)
+        assert lu_gap.call_count == 0
+        assert rep.gap == pytest.approx(
+            stabilization_gap(A_exact, Stabilizer.scalar_alpha(), alpha, t), rel=1e-12)
 
 
 class TestAssemble:
@@ -558,8 +622,7 @@ class TestCAlphaEstimate:
         rng = np.random.default_rng(seed)
         s = alpha + rng.uniform(0.0, 1.0, n)
         m = (_orthogonal(rng, n) * s) @ _orthogonal(rng, n).T
-        c_est, _ = c_alpha_estimate(DiscreteOperator.dense(m), Stabilizer.scalar_alpha(), 0.0,
-                                    assembled=m)
+        c_est, _ = c_alpha_estimate(DiscreteOperator.dense(m), Stabilizer.scalar_alpha(), 0.0)
         sigma_min = np.linalg.svd(m, compute_uv=False)[-1]
         assert c_est <= (1.0 / sigma_min) * (1.0 + 1e-12)
 
@@ -576,11 +639,11 @@ class TestCAlphaEstimate:
         exact = 1.0 / np.linalg.svd(a + 0.01 * np.eye(n), compute_uv=False)[-1]
         assert 0.96 * exact <= c_est <= exact * (1.0 + 1e-12)
 
-    def test_assembled_matrix_reused(self):
+    def test_norms_of_a_two_by_two_inverse(self):
         # inverse [[0.25, -0.125], [0, 0.125]]: largest absolute row sum 0.375
-        A = DiscreteOperator.dense(np.diag([1.0, 2.0]))
+        A = DiscreteOperator.dense(np.array([[3.5, 4.0], [0.0, 7.5]]))
         assembled = np.array([[4.0, 4.0], [0.0, 8.0]])
-        c_est, c_sup = c_alpha_estimate(A, Stabilizer.scalar_alpha(), 0.5, assembled)
+        c_est, c_sup = c_alpha_estimate(A, Stabilizer.scalar_alpha(), 0.5)
         assert c_sup == 0.375
         assert c_est == pytest.approx(1.0 / np.linalg.svd(assembled, compute_uv=False)[-1],
                                       rel=1e-12)
@@ -675,6 +738,16 @@ class TestStabilizationGap:
         for a_i, gap in sweep:
             expect = float(np.max(np.abs(np.linalg.solve(a + a_i * np.eye(n), a_i * x))))
             assert gap == expect
+
+    def test_sweep_with_a_finite_rank_stabilizer_solves_once(self, lapack_calls):
+        A = DiscreteOperator.dense(np.diag([0.0, 1.0, 2.0, 3.0]))
+        e0 = np.eye(4)[0]
+        B = Stabilizer.finite_dim([e0], [e0])
+        alphas = [0.3, 0.1, 0.01]
+        rows = stabilization_sweep(A, B, alphas, np.ones(4))
+        assert len(lapack_calls["solve"]) == 1
+        assert rows == [(a, 1.0) for a in alphas]
+        assert rows == [(a, stabilization_gap(A, B, a, np.ones(4))) for a in alphas]
 
     def test_sweep_rejects_nonpositive_alpha(self):
         A = DiscreteOperator.volterra(0.0, 1.0, 33)
