@@ -19,7 +19,6 @@ from .errors import (
     DegenerateGram,
     PerturbregError,
     ProblemFormatError,
-    QOutOfRange,
     SampleOverflow,
     SingularSystem,
     UnknownExample,
@@ -43,7 +42,6 @@ __all__ = [
     "NoiseSpec",
     "PerturbregError",
     "ProblemFormatError",
-    "QOutOfRange",
     "RegConfig",
     "SampleOverflow",
     "SingularSystem",

@@ -13,10 +13,6 @@ class DegenerateDelta(PerturbregError):
     """Coordination rules need a positive noise level."""
 
 
-class QOutOfRange(PerturbregError):
-    """The margin q = delta * c(alpha) must lie in [0, 1) for the error bound."""
-
-
 class WindowTooNarrow(PerturbregError):
     """The baseline fit window contains fewer than two samples."""
 

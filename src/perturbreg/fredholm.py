@@ -174,6 +174,6 @@ def solve_fredholm_regularized(A_tilde: DiscreteOperator, basis: FredholmBasis, 
     """
     stab = basis.stabilizer
     rhs = project_rhs(f_tilde, basis)
-    x, residual, c_est, c_sup, _ = _certified_solve(A_tilde, stab, 1.0, rhs)
-    return _report(x, residual, c_est, c_sup, delta, q_max, x_star=x_star,
+    x, residual, c_est, c_sup, m_norm, _ = _certified_solve(A_tilde, stab, 1.0, rhs)
+    return _report(x, residual, c_est, c_sup, m_norm, delta, q_max, x_star=x_star,
                    selection=basis.gammas @ x)

@@ -4,9 +4,11 @@ Only a noisy operator and right-hand side are available, each within distance
 delta of an exact pair for which the equation is solvable. Adding a small
 stabilizing perturbation makes the observed system invertible; every solve
 reports the quantities needed to certify the reconstruction error: the
-sup norm c_sup of the stabilized inverse with its margin q_sup = delta * c_sup,
-a 2-norm margin q_est = delta * c_alpha_est, the bias introduced by the
-stabilizer, and the resulting error bound.
+sup norm c_sup of the inverse of the observed stabilized matrix, with
+q_sup = delta * c_sup, a 2-norm margin q_est = delta * c_alpha_est, the bias
+introduced by the stabilizer, and the resulting error bound. The bound is an
+a-posteriori one: it rests on the inverse the solve itself holds and on the
+residual it leaves, so it needs no margin below 1.
 
 Each dense stabilized matrix is factored once. A certified solve inverts it,
 and that one inverse serves the solution (with one refinement step, and an
@@ -20,13 +22,14 @@ a closed form.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import DegenerateDelta, QOutOfRange, SingularSystem
+from .errors import DegenerateDelta, SingularSystem
 from .grid import GridFunction
 from .operators import DiscreteOperator, Stabilizer
 
@@ -91,9 +94,8 @@ class RegConfig:
 
     Exactly one of ``alpha`` and ``rule`` must be given. ``q_max`` is the
     largest acceptable 2-norm margin q_est = delta * c_alpha_est before a
-    solve gets flagged. The error bound needs the sup-norm margin q_sup
-    below 1; at q_sup = 1 the perturbation argument behind it breaks down
-    entirely.
+    solve gets flagged. The flag does not touch the error bound, which
+    holds at any margin.
     """
 
     delta: float
@@ -116,17 +118,21 @@ class RegConfig:
 class SolveReport:
     """Solution of a stabilized solve plus the diagnostics around it.
 
-    ``c_sup`` is the sup norm of the stabilized inverse and
-    ``q_sup = delta * c_sup``; the error bound is built from them.
-    ``c_alpha_est`` is a lower estimate of its 2-norm, and
+    ``c_sup`` is the sup norm of the inverse of the observed stabilized
+    matrix and ``q_sup = delta * c_sup``; the error bound is built from
+    them. ``c_alpha_est`` is a lower estimate of its 2-norm, and
     ``q_est = delta * c_alpha_est`` the margin that ``q_exceeded`` flags
     (q_est >= q_max) without failing the solve, so sweeps can cross the
     threshold and show where the margin is lost.
 
     ``gap``, ``bound`` and ``bound_components = (gap, amplification,
-    x_star_norm)`` are filled only when the exact problem is supplied for
-    comparison, and ``bound`` only while q_sup < 1 and the exact problem
-    bears delta out; it then equals gap + amplification * (1 + x_star_norm + gap).
+    x_star_norm)``, with amplification = delta * c_sup, are filled only when
+    the exact problem is supplied for comparison and its stabilized system
+    can be solved, and ``bound`` only while the exact problem bears delta
+    out and the bound is finite. It then equals (gap + amplification *
+    (1 + x_star_norm + gap) + c_sup * residual_norm) * (1 + rho)
+    + 2 rho ||solution||_inf, with the rounding allowance
+    rho = 16 n eps ||A~ + B(alpha)||_inf c_sup.
     ``delta_realized`` is the noise the exact problem shows,
     max(||A_tilde - A||_inf, ||f_tilde - A x*||_inf), filled by
     ``solve_perturbed`` when it is given both x* and the exact operator.
@@ -154,44 +160,32 @@ def invertibility_margin(delta: float, c_alpha: float) -> float:
     return delta * c_alpha
 
 
-def error_bound(S: float, delta: float, c_alpha: float, q: float, x_star_norm: float) -> float:
-    """Error certificate S + (delta * c / (1 - q)) * (1 + ||x*|| + S).
-
-    ``S`` is the stabilization gap (bias the stabilizer itself introduces on
-    the exact solution); the second term is the data noise amplified through
-    the perturbed inverse, whose norm is at most c / (1 - q). For a sup-norm
-    bound, c is the sup norm of the stabilized inverse and q = delta * c.
-
-    Raises
-    ------
-    QOutOfRange
-        Unless 0 <= q < 1.
-    """
-    if not 0.0 <= q < 1.0:
-        raise QOutOfRange(f"q must lie in [0, 1), got {q}")
-    if min(S, delta, c_alpha, x_star_norm) < 0.0:
-        raise ValueError("all bound inputs must be nonnegative")
-    amplification = delta * c_alpha / (1.0 - q)
-    return S + amplification * (1.0 + x_star_norm + S)
-
-
 def _as_vector(x) -> np.ndarray:
     if isinstance(x, GridFunction):
         return x.values
     return np.asarray(x, dtype=float)
 
 
-def _report(x: np.ndarray, residual: float, c_est: float, c_sup: float, delta: float,
-            q_max: float, x_star=None, gap: float | None = None,
+def _report(x: np.ndarray, residual: float, c_est: float, c_sup: float, m_norm: float,
+            delta: float, q_max: float, x_star=None, gap: float | None = None,
             selection=None, delta_realized: float | None = None,
             delta_holds: bool = True) -> SolveReport:
     """The report of a stabilized solve; both solvers build theirs here.
 
     Owns both margins, q_est = delta * c_est with its flag q_est >= q_max and
     q_sup = delta * c_sup. With ``x_star`` the report carries the observed
-    error; with the stabilization ``gap`` as well, q_sup < 1 and
-    ``delta_holds``, it also carries the sup-norm error bound and its
-    components.
+    error; with the stabilization ``gap`` as well and ``delta_holds``, it
+    also carries the sup-norm error bound and its components.
+
+    The bound is a-posteriori (Higham, Accuracy and Stability of Numerical
+    Algorithms, ch. 7). Let y solve (A + B(alpha)) y = A x*, so that
+    ||y - x*||_inf = S, and r = f~ - M~ x for the observed M~ = A~ + B(alpha).
+    Then M~ (x - y) = (f~ - A x*) - (A~ - A) y - r, so with noise within delta
+    ||x - x*||_inf <= S + delta c_sup (1 + ||x*||_inf + S) + c_sup ||r||_inf,
+    at any q_sup. The computed c_sup and x are accurate to about n eps
+    cond(M~), cond(M~) = ``m_norm`` c_sup with ``m_norm`` = ||M~||_inf, so the
+    claim is that sum times 1 + rho, plus 2 rho ||x||_inf for the rounding of
+    r, with rho = 16 n eps cond(M~). A bound that is not finite is not claimed.
     """
     q_est = invertibility_margin(delta, c_est)
     q_sup = invertibility_margin(delta, c_sup)
@@ -199,10 +193,13 @@ def _report(x: np.ndarray, residual: float, c_est: float, c_sup: float, delta: f
     if x_star is not None:
         xs = _as_vector(x_star)
         observed = float(np.max(np.abs(x - xs)))
-        if gap is not None and q_sup < 1.0 and delta_holds:
+        if gap is not None and delta_holds:
             x_norm = float(np.max(np.abs(xs)))
-            bound = error_bound(gap, delta, c_sup, q_sup, x_norm)
-            components = (gap, delta * c_sup / (1.0 - q_sup), x_norm)
+            rho = _ROUNDING_PER_ROW * x.size * _EPS * m_norm * c_sup
+            claim = (gap + q_sup * (1.0 + x_norm + gap) + c_sup * residual) * (1.0 + rho) \
+                + 2.0 * rho * float(np.max(np.abs(x)))
+            if math.isfinite(claim):
+                bound, components = claim, (gap, q_sup, x_norm)
     return SolveReport(
         solution=x,
         residual_norm=residual,
@@ -241,18 +238,20 @@ _POWER_STEPS = 10
 # Solves behind the stabilization gap of a certified dense solve, the first
 # included: y = M~^-1 b, then y += M~^-1 (b - (A + B(alpha)) y). Each step
 # shrinks the error by a factor of at most ||M~^-1 (A~ - A)||_inf
-# <= c_sup ||A~ - A||_inf, which is below q_sup wherever a bound can be
-# claimed. On the benchmark's n = 512 dense problems the residual falls about
-# 1e4-fold a step, and the third solve reaches LU level: 0.7 ms in all,
-# against 5-6 ms for the LU solve of ``stabilization_gap`` (one BLAS thread
-# on a shared 2-vCPU machine).
+# <= c_sup ||A~ - A||_inf; where that reaches 1 the refinement may stall,
+# and one LU solve gives the gap. On the benchmark's n = 512 dense problems
+# the residual falls about 1e4-fold a step, and the third solve reaches LU
+# level: 0.7 ms in all, against 5-6 ms for the LU solve of
+# ``stabilization_gap`` (one BLAS thread on a shared 2-vCPU machine).
 _GAP_STEPS = 10
 
 # The running integral's c_sup is its exact sup norm carried up by this many
 # n * eps, so it stays above the amplification a computed solve shows: with
 # the noise delta * sign(row i of M^-1) that attains the norm, an LU solve of
 # the dense matrix read up to 7.3 n eps above it (n = 513, alpha = h/400),
-# and the O(n) scan up to 0.9 n eps.
+# and the O(n) scan up to 0.9 n eps. The error bound allows this many n * eps
+# times cond(M~): with 16 n eps alone, worst-case data and operator noise on a
+# finite-rank system (n = 2, c_alpha_est 2e3) broke it by 7e-15 relative.
 _ROUNDING_PER_ROW = 16
 
 # Rows of the blocks in which ``_inf_norm`` sums a matrix.
@@ -401,8 +400,9 @@ def _refined_gap(inverse: np.ndarray, A_exact: DiscreteOperator, B: Stabilizer, 
 def _certified_solve(A: DiscreteOperator, B: Stabilizer, alpha: float, rhs: np.ndarray,
                      A_exact: DiscreteOperator | None = None, x_star: np.ndarray | None = None,
                      noise: float | None = None
-                     ) -> tuple[np.ndarray, float, float, float, float | None]:
-    """Solve (A + B(alpha)) x = rhs; returns x, its residual, c_alpha_est, c_sup and the gap.
+                     ) -> tuple[np.ndarray, float, float, float, float, float | None]:
+    """Solve M x = rhs, M = A + B(alpha); returns x, its residual, c_alpha_est, c_sup,
+    ||M||_inf and the gap.
 
     A dense pair is assembled and inverted once. That inverse gives x and one
     refinement step, x += inverse @ (rhs - M x), and then both norms. When
@@ -416,17 +416,19 @@ def _certified_solve(A: DiscreteOperator, B: Stabilizer, alpha: float, rhs: np.n
     takes it from the same inverse by ``_refined_gap``, with
     ||A_exact + B(alpha)||_inf <= ||M||_inf + noise; the running integral
     with alpha * I, a failed refinement or a singular inverse take the LU
-    solve of ``stabilization_gap``. Without them the gap is None.
+    solve of ``stabilization_gap``. Without them, or when that exact system
+    is singular while the observed one is not, the gap is None.
     """
     gap = None
     if _is_shifted_integral(A, B):
         x = _solve_stabilized(A, B, alpha, rhs)
         residual = float(np.max(np.abs(A.apply(x) + B.apply(alpha, x) - rhs)))
         c_est, c_sup = _c_alpha_estimate(A, B, alpha)
+        m_norm = (A.n - 1) * A.h + alpha  # the last row: h/2, n - 2 times h, h/2 + alpha
     else:
         m = _assemble(A, B, alpha)
         inverse = _invert(m)
-        c_est = c_sup = math.inf
+        c_est = c_sup = m_norm = math.inf
         if inverse is not None:
             with np.errstate(over="ignore", invalid="ignore"):
                 x = inverse @ rhs
@@ -442,8 +444,9 @@ def _certified_solve(A: DiscreteOperator, B: Stabilizer, alpha: float, rhs: np.n
             x = _solve_linear(m, rhs)
             residual = float(np.max(np.abs(m @ x - rhs)))
     if A_exact is not None and gap is None:
-        gap = stabilization_gap(A_exact, B, alpha, x_star)
-    return x, residual, c_est, c_sup, gap
+        with contextlib.suppress(SingularSystem):
+            gap = stabilization_gap(A_exact, B, alpha, x_star)
+    return x, residual, c_est, c_sup, m_norm, gap
 
 
 def stabilization_gap(A: DiscreteOperator, B: Stabilizer, alpha: float, x_star) -> float:
@@ -514,9 +517,8 @@ def _realized_noise(A_tilde: DiscreteOperator, A_exact: DiscreteOperator, f: np.
             observed, exact = A_tilde.as_matrix(), A_exact.as_matrix()
             work = np.subtract(observed, exact)
             operator = float(np.max(np.abs(work, out=work).sum(axis=1)))
-            np.abs(observed, out=work)
-            work += np.abs(exact)
-            scale = float(np.max(work.sum(axis=1)))
+            rows = np.abs(observed, out=work).sum(axis=1)
+            scale = float(np.max(rows + np.abs(exact, out=work).sum(axis=1)))
     if not (math.isfinite(data) and math.isfinite(operator)):
         return math.inf, False
     return max(operator, data), holds and operator <= delta + _EPS * scale < math.inf
@@ -538,7 +540,8 @@ def solve_perturbed(A_tilde: DiscreteOperator, B: Stabilizer, alpha: float, f_ti
     (A_exact + B(alpha)) y = B(alpha) x* to LU level in a few O(n^2) steps,
     since M differs from A_exact + B(alpha) only by the operator noise; when
     it does not get there within ``_GAP_STEPS`` solves, one LU solve gives
-    the gap.
+    the gap, and when A_exact + B(alpha) is singular there is no gap and no
+    bound.
 
     Parameters
     ----------
@@ -581,7 +584,7 @@ def solve_perturbed(A_tilde: DiscreteOperator, B: Stabilizer, alpha: float, f_ti
         exact, xs = A_exact, _as_vector(x_star)
         delta_realized, delta_holds = _realized_noise(A_tilde, exact, f, xs, config.delta)
     # delta_realized >= ||A_tilde - A_exact||_inf, as the gap's refinement needs
-    x, residual, c_est, c_sup, gap = _certified_solve(A_tilde, B, alpha, f, exact, xs,
-                                                      delta_realized)
-    return _report(x, residual, c_est, c_sup, config.delta, config.q_max, x_star=x_star,
+    x, residual, c_est, c_sup, m_norm, gap = _certified_solve(A_tilde, B, alpha, f, exact, xs,
+                                                              delta_realized)
+    return _report(x, residual, c_est, c_sup, m_norm, config.delta, config.q_max, x_star=x_star,
                    gap=gap, delta_realized=delta_realized, delta_holds=delta_holds)

@@ -58,10 +58,11 @@ def _dense_operator(family: str, n: int, rng) -> np.ndarray:
 
 
 @st.composite
-def systems(draw, n_max: int, alpha_exponents: tuple[float, float]):
+def systems(draw, n_max: int, alpha_exponents: tuple[float, float],
+            delta_exponents: tuple[float, float] = (-6.0, -2.0)):
     n = draw(st.integers(2, n_max))
     alpha = 10.0 ** draw(st.floats(*alpha_exponents))
-    delta = 10.0 ** draw(st.floats(-6.0, -2.0))
+    delta = 10.0 ** draw(st.floats(*delta_exponents))
     # x* from 1e-9 to 2 in size: a small x* leaves the noise term alone in the bound
     scale = 10.0 ** draw(st.floats(-9.0, 0.3))
     x_star = scale * np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
@@ -124,6 +125,74 @@ class TestWorstCaseNoise:
         assert projected.c_sup == rep.c_sup and projected.q_sup == rep.q_sup
 
 
+def worst_case_operator_noise(m: np.ndarray, y: np.ndarray, delta: float):
+    """(E, e) against the exact stabilized matrix m and its solution y.
+
+    e = delta * s and E = -delta * s e_j^T sign(y_j), with s = sign(row i of
+    m^-1), i the row of largest absolute sum and j the largest entry of y.
+    Each row of E holds one entry, so ||E||_inf = delta, and -E y =
+    delta |y_j| s adds to e: the error M~^-1 (e - E y) nears
+    delta ||M~^-1||_inf (1 + ||y||_inf).
+    """
+    e = worst_case_noise(m, delta)
+    j = int(np.argmax(np.abs(y)))
+    E = np.zeros(m.shape)
+    E[:, j] = -np.sign(y[j]) * e
+    return E, e
+
+
+class TestWorstCaseOperatorNoise:
+    """Operator and data noise both at delta, and q_sup past 1 allowed: every
+    report with a gap and noise within delta claims its bound, and it holds."""
+
+    @staticmethod
+    def solve(a, noise, B, alpha, x_star, e, delta):
+        return solve_perturbed(DiscreteOperator.dense(a + noise), B, alpha, a @ x_star + e,
+                               RegConfig(delta=delta, alpha=alpha), x_star=x_star,
+                               A_exact=DiscreteOperator.dense(a))
+
+    @settings(max_examples=100, deadline=None)
+    @given(system=systems(40, (-8.0, 0.0), (-6.0, -0.5)),
+           family=st.sampled_from(["rank_one_inverse", "psd"]))
+    def test_dense(self, system, family):
+        n, alpha, delta, x_star, rng = system
+        a = _dense_operator(family, n, rng)
+        m = a + alpha * np.eye(n)
+        noise, e = worst_case_operator_noise(m, np.linalg.solve(m, a @ x_star), delta)
+        rep = self.solve(a, noise, Stabilizer.scalar_alpha(), alpha, x_star, e, delta)
+        assert rep.bound is not None
+        assert rep.observed_error <= rep.bound
+
+    @settings(max_examples=100, deadline=None)
+    @given(system=systems(200, (-4.0, 0.0), (-6.0, -0.5)), stretch=st.sampled_from([1.0, -1.0]))
+    def test_volterra(self, system, stretch):
+        # the observed grid is stretched or shrunk, so that (n - 1) |h~ - h| = delta
+        n, alpha, delta, x_star, _ = system
+        exact = DiscreteOperator.volterra(0.0, 1.0, n)
+        observed = DiscreteOperator.volterra(0.0, 1.0 + stretch * delta, n)
+        e = worst_case_noise(observed.as_matrix() + alpha * np.eye(n), delta)
+        rep = solve_perturbed(observed, Stabilizer.scalar_alpha(), alpha, exact.apply(x_star) + e,
+                              RegConfig(delta=delta, alpha=alpha), x_star=x_star, A_exact=exact)
+        assert rep.bound is not None
+        assert rep.observed_error <= rep.bound
+
+    @settings(max_examples=100, deadline=None)
+    @given(system=systems(40, (-6.0, 0.0), (-6.0, -0.5)))
+    def test_finite_rank(self, system):
+        # A and the stabilizer as in TestWorstCaseNoise.test_finite_rank
+        n, alpha, delta, x_star, rng = system
+        u, v = _orthogonal(rng, n), _orthogonal(rng, n)
+        s = np.geomspace(1.0, 1e-3, n)
+        s[-1] = 0.0
+        a = (u * s) @ v.T
+        B = build_stabilizer([v[:, -1]], [u[:, -1]], gammas=[alpha * v[:, -1]]).stabilizer
+        m = a + B.materialize(1.0, n)
+        noise, e = worst_case_operator_noise(m, np.linalg.solve(m, a @ x_star), delta)
+        rep = self.solve(a, noise, B, 1.0, x_star, e, delta)
+        assert rep.bound is not None
+        assert rep.observed_error <= rep.bound
+
+
 def counterexample():
     """n = 64, A^-1 = I with row 0 set to 0.375, x* = 0, alpha = 1e-8, worst-case f."""
     n, alpha, delta = 64, 1e-8, 1e-3
@@ -166,15 +235,16 @@ class TestCounterexample:
         self.check(report["c_alpha_est"], report["c_sup"], report["q_sup"], report["bound"],
                    report["observed_error"])
 
-    def test_no_bound_once_q_sup_reaches_one(self):
-        # delta = 0.05: q_sup = 1.2 while the 2-norm margin q_est is about 0.16
+    def test_bound_holds_once_q_sup_reaches_one(self):
+        # delta = 0.05: q_sup = 1.2 while the 2-norm margin q_est is about 0.16;
+        # the bound rests on the observed inverse, so it needs no q_sup < 1
         a, f, alpha, _ = counterexample()
         op = DiscreteOperator.dense(a)
         rep = solve_perturbed(op, Stabilizer.scalar_alpha(), alpha, 50.0 * f,
                               RegConfig(delta=0.05, alpha=alpha),
                               x_star=np.zeros(a.shape[0]), A_exact=op)
         assert rep.q_est < 0.5 <= 1.0 <= rep.q_sup
-        assert rep.bound is None and rep.bound_components is None
+        assert rep.bound is not None and rep.observed_error <= rep.bound
         assert rep.gap == 0.0
 
 

@@ -1049,6 +1049,19 @@ class TestSolve:
         assert report["bound"] is None and report["bound_components"] is None
         assert report["observed_error"] == pytest.approx(0.990, rel=1e-3)
 
+    def test_singular_exact_system_reports_null_gap_and_bound(self, tmp_path, capsys):
+        # exact_matrix + I is singular, matrix + I is not: the solve succeeds
+        path = write_json(tmp_path, {
+            "matrix": [[1e-3, 1.0], [1.0, 0.0]], "exact_matrix": [[0.0, 1.0], [1.0, 0.0]],
+            "rhs": [2.0, 1.0], "exact_solution": [1.0, 2.0], "delta": 1e-3, "alpha": 1.0,
+            "stabilizer": {"scalar_alpha": {}}})
+        assert main(["solve", str(path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        np.testing.assert_allclose(report["solution"], [1000.0, -999.0], rtol=1e-9)
+        assert report["gap"] is None and report["bound"] is None
+        assert report["bound_components"] is None
+        assert report["delta_realized"] == 1e-3
+
     def test_output_file(self, tmp_path):
         path = write_json(tmp_path, self.scalar_payload())
         out = tmp_path / "report.json"

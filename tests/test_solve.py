@@ -6,14 +6,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from perturbreg import (
     DegenerateDelta,
     DiscreteOperator,
     GridFunction,
-    QOutOfRange,
     RegConfig,
     SingularSystem,
     Stabilizer,
@@ -29,7 +28,6 @@ from perturbreg.solve import (
     SqrtDelta,
     c_alpha_estimate,
     coordinate_alpha,
-    error_bound,
     invertibility_margin,
 )
 
@@ -100,35 +98,13 @@ class TestRegConfig:
             RegConfig(delta=delta, alpha=alpha)
 
 
-class TestMarginAndBound:
+class TestMargin:
     def test_margin_is_product(self):
         assert invertibility_margin(0.1, 20.0) == pytest.approx(2.0)
 
     def test_margin_rejects_negative(self):
         with pytest.raises(ValueError):
             invertibility_margin(-0.1, 1.0)
-
-    def test_bound_frozen_value(self):
-        # 0.1 + (0.01 * 20 / 0.8) * (1 + 1 + 0.1) = 0.625, by hand
-        assert error_bound(0.1, 0.01, 20.0, 0.2, 1.0) == pytest.approx(0.625, abs=1e-15)
-
-    def test_bound_at_zero_q(self):
-        assert error_bound(0.0, 0.1, 2.0, 0.0, 1.0) == pytest.approx(0.4)
-
-    def test_bound_grows_with_q(self):
-        b1 = error_bound(0.1, 0.01, 20.0, 0.1, 1.0)
-        b2 = error_bound(0.1, 0.01, 20.0, 0.9, 1.0)
-        assert b2 > b1
-
-    def test_q_out_of_range(self):
-        with pytest.raises(QOutOfRange):
-            error_bound(0.1, 0.01, 20.0, 1.0, 1.0)
-        with pytest.raises(QOutOfRange):
-            error_bound(0.1, 0.01, 20.0, -0.1, 1.0)
-
-    def test_negative_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            error_bound(-0.1, 0.01, 20.0, 0.2, 1.0)
 
 
 class TestSolvePerturbed:
@@ -197,10 +173,29 @@ class TestSolvePerturbed:
         assert full.gap == pytest.approx(
             stabilization_gap(A, Stabilizer.scalar_alpha(), 0.1, x_star))
         assert full.q_sup == cfg.delta * full.c_sup
-        assert full.bound == pytest.approx(
-            error_bound(full.gap, cfg.delta, full.c_sup, full.q_sup, 1.0))
         gap, amp, x_norm = full.bound_components
-        assert full.bound == pytest.approx(gap + amp * (1.0 + x_norm + gap))
+        assert (gap, amp, x_norm) == (full.gap, full.q_sup, 1.0)
+        # the a-posteriori bound with its rounding allowance rho = 16 n eps cond(M~),
+        # for n = 2 and ||M~||_inf = 1.1
+        rho = 16 * 2 * np.finfo(float).eps * 1.1 * full.c_sup
+        assert full.bound == (gap + amp * (1.0 + x_norm + gap) + full.c_sup * full.residual_norm) \
+            * (1.0 + rho) + 2.0 * rho * np.max(np.abs(full.solution))
+        # by hand: gap 0.1 / 1.1, amplification 0.01 / 1.1, no residual to speak of
+        assert full.bound == pytest.approx(0.1 / 1.1 + 0.01 / 1.1 * (2.0 + 0.1 / 1.1), rel=1e-12)
+
+    def test_singular_exact_system_leaves_no_gap_and_no_bound(self):
+        # A + I is singular while A~ + I is not: the observed system is still
+        # solved, and with no gap to compare against no bound is claimed
+        a = np.array([[0.0, 1.0], [1.0, 0.0]])
+        a_tilde = np.array([[1e-3, 1.0], [1.0, 0.0]])
+        x_star = np.array([1.0, 2.0])
+        rep = solve_perturbed(DiscreteOperator.dense(a_tilde), Stabilizer.scalar_alpha(), 1.0,
+                              a @ x_star, RegConfig(delta=1e-3, alpha=1.0), x_star=x_star,
+                              A_exact=DiscreteOperator.dense(a))
+        np.testing.assert_allclose(rep.solution, np.linalg.solve(a_tilde + np.eye(2), a @ x_star))
+        assert rep.gap is None and rep.bound is None and rep.bound_components is None
+        assert rep.delta_realized == 1e-3
+        assert rep.observed_error == pytest.approx(1001.0)
 
     def test_singular_assembly_raises(self):
         A = DiscreteOperator.dense(np.zeros((2, 2)))
@@ -525,6 +520,19 @@ class TestOneInverse:
         np.testing.assert_array_equal(rep.solution, [0.5, 2.0])
         assert (rep.c_alpha_est, rep.c_sup) == (math.inf, math.inf)
 
+    def test_non_finite_c_sup_claims_no_bound(self):
+        # c_sup = inf makes the bound NaN at delta = 0 and infinite above it
+        A = DiscreteOperator.dense(np.diag([1e-320, 1.0]))
+        for delta in (0.0, 1e-3):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rep = solve_perturbed(A, Stabilizer.scalar_alpha(), 1e-320,
+                                      np.array([1e-320, 2.0]),
+                                      RegConfig(delta=delta, alpha=1e-320),
+                                      x_star=np.array([0.5, 2.0]), A_exact=A)
+            assert rep.c_sup == math.inf and rep.gap is not None
+            assert rep.bound is None and rep.bound_components is None
+
 
 class TestRefinedGap:
     """With exact data a certified dense solve takes the gap from its own inverse."""
@@ -541,15 +549,21 @@ class TestRefinedGap:
         a_tilde = a_exact + noise * rng.uniform(-1.0, 1.0, (n, n)) / n
         x_star = rng.standard_normal(n)
         A_exact, B = DiscreteOperator.dense(a_exact), Stabilizer.scalar_alpha()
+        k = a_exact + alpha * np.eye(n)
+        try:
+            k_inverse = np.linalg.inv(k)
+        except np.linalg.LinAlgError:
+            # at cond = 1 an orthogonal draw can hold -alpha in its spectrum:
+            # K = A + alpha I is singular, and the reference gap undefined
+            assume(False)
         with mock.patch.object(solve, "stabilization_gap", wraps=stabilization_gap) as lu_gap:
             rep = solve_perturbed(DiscreteOperator.dense(a_tilde), B, alpha, a_exact @ x_star,
                                   RegConfig(delta=noise, alpha=alpha), x_star=x_star,
                                   A_exact=A_exact)
         expect = stabilization_gap(A_exact, B, alpha, x_star)
         # both solves leave a residual at LU level, n * eps * ||K||_inf * ||y||_inf
-        # for K = A + alpha I; their solutions differ by ||K^-1||_inf times that
-        k = a_exact + alpha * np.eye(n)
-        cond = np.abs(k).sum(axis=1).max() * np.abs(np.linalg.inv(k)).sum(axis=1).max()
+        # for K; their solutions differ by ||K^-1||_inf times that
+        cond = np.abs(k).sum(axis=1).max() * np.abs(k_inverse).sum(axis=1).max()
         assert abs(rep.gap - expect) <= 4.0 * n * np.finfo(float).eps * cond * expect
         if lu_gap.call_count:
             assert rep.gap == expect
