@@ -10,13 +10,14 @@ before solving, so the stabilized system stays consistent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
-from .errors import BiorthogonalityFailed, DegenerateGram, SingularSystem
+from .errors import BiorthogonalityFailed, DegenerateGram
 from .operators import DiscreteOperator, Stabilizer, _stack_vectors
-from .solve import SolveReport, _certified_solve, _report
+from .solve import RegConfig, SolveReport, solve_perturbed
 
 _BIORTHO_TOL = 1e-10
 _DET_TOL = 1e-12
@@ -28,7 +29,8 @@ class FredholmBasis:
 
     phis span the null space of the operator, psis the null space of its
     adjoint, gammas are the selection functionals paired against phis, and
-    zs are biorthogonal to psis (<z_i, psi_k> = delta_ik).
+    zs are biorthogonal to psis (<z_i, psi_k> = delta_ik); ``stabilizer`` is
+    built once, on first use.
     """
 
     phis: np.ndarray
@@ -40,7 +42,7 @@ class FredholmBasis:
     def rank(self) -> int:
         return self.phis.shape[0]
 
-    @property
+    @cached_property
     def stabilizer(self) -> Stabilizer:
         return Stabilizer.finite_dim(self.gammas, self.zs)
 
@@ -159,9 +161,11 @@ def solve_fredholm_regularized(A_tilde: DiscreteOperator, basis: FredholmBasis, 
                                x_star=None) -> SolveReport:
     """Solve (A_tilde + B) x = projected f_tilde with the finite-rank B.
 
-    The report's ``selection`` entries are the pairings <x, gamma_i>; for
-    exact data they vanish, and they shrink linearly with the data noise, so
-    they act as a per-direction consistency diagnostic.
+    This is ``solve_perturbed`` at alpha = 1 on ``project_rhs(f_tilde, basis)``,
+    which builds the report; no exact operator is taken, so it carries no gap,
+    delta_realized or bound. Its ``selection`` entries are the pairings
+    <x, gamma_i>; for exact data they vanish, and they shrink linearly with
+    the data noise, so they act as a per-direction consistency diagnostic.
 
     ``delta`` is only used for the margins q_est = delta * c_alpha_est and
     q_sup = delta * c_sup; the stabilizer itself does not depend on it. With
@@ -169,11 +173,12 @@ def solve_fredholm_regularized(A_tilde: DiscreteOperator, basis: FredholmBasis, 
 
     Raises
     ------
+    ValueError
+        From ``RegConfig`` (delta, q_max) or ``solve_perturbed`` (sizes).
     SingularSystem
         If the stabilized matrix still cannot be factorized.
     """
-    stab = basis.stabilizer
-    rhs = project_rhs(f_tilde, basis)
-    x, residual, c_est, c_sup, m_norm, _ = _certified_solve(A_tilde, stab, 1.0, rhs)
-    return _report(x, residual, c_est, c_sup, m_norm, delta, q_max, x_star=x_star,
-                   selection=basis.gammas @ x)
+    config = RegConfig(delta=delta, alpha=1.0, q_max=q_max)
+    report = solve_perturbed(A_tilde, basis.stabilizer, 1.0, project_rhs(f_tilde, basis), config,
+                             x_star=x_star)
+    return replace(report, selection=basis.gammas @ report.solution)

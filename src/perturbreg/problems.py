@@ -193,7 +193,7 @@ class Problem:
     """A validated problem file, with operators and basis already built.
 
     ``basis`` is None for the scalar-alpha stabilizer. ``alpha`` and ``rule``
-    are mutually exclusive and only meaningful on the scalar path.
+    are mutually exclusive and only given on the scalar path.
     """
 
     operator: DiscreteOperator
@@ -246,7 +246,7 @@ def load_problem(path) -> Problem:
     ------
     ProblemFormatError
         On unreadable files, structural violations (see ``validate_problem``),
-        or inconsistent dimensions.
+        inconsistent dimensions, or ``alpha``/``rule`` beside ``finite_dim``.
     DegenerateGram, BiorthogonalityFailed
         Propagated from building a finite-rank stabilizer out of bad bases.
     """
@@ -284,6 +284,8 @@ def load_problem(path) -> Problem:
     stab = raw["stabilizer"]
     basis = None
     if "finite_dim" in stab:
+        if "alpha" in raw or "rule" in raw:
+            raise ProblemFormatError("the finite_dim stabilizer takes no 'alpha' or 'rule'")
         spec = stab["finite_dim"]
         for key in ("phis", "psis", "gammas", "zs"):
             for vec in spec.get(key, []):

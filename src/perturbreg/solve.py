@@ -6,9 +6,9 @@ stabilizing perturbation makes the observed system invertible; every solve
 reports the quantities needed to certify the reconstruction error: the
 sup norm c_sup of the inverse of the observed stabilized matrix, with
 q_sup = delta * c_sup, a 2-norm margin q_est = delta * c_alpha_est, the bias
-introduced by the stabilizer, and the resulting error bound. The bound is an
-a-posteriori one: it rests on the inverse the solve itself holds and on the
-residual it leaves, so it needs no margin below 1.
+introduced by the stabilizer, and the resulting error bound, derived in
+``solve_perturbed``. It is a-posteriori: it rests on the inverse the solve
+itself holds and on the residual it leaves, so it needs no margin below 1.
 
 Each dense stabilized matrix is factored once. A certified solve inverts it,
 and that one inverse serves the solution (with one refinement step, and an
@@ -125,17 +125,14 @@ class SolveReport:
     (q_est >= q_max) without failing the solve, so sweeps can cross the
     threshold and show where the margin is lost.
 
-    ``gap``, ``bound`` and ``bound_components = (gap, amplification,
-    x_star_norm)``, with amplification = delta * c_sup, are filled only when
-    the exact problem is supplied for comparison and its stabilized system
-    can be solved, and ``bound`` only while the exact problem bears delta
-    out and the bound is finite. It then equals (gap + amplification *
-    (1 + x_star_norm + gap) + c_sup * residual_norm) * (1 + rho)
-    + 2 rho ||solution||_inf, with the rounding allowance
-    rho = 16 n eps ||A~ + B(alpha)||_inf c_sup.
-    ``delta_realized`` is the noise the exact problem shows,
-    max(||A_tilde - A||_inf, ||f_tilde - A x*||_inf), filled by
-    ``solve_perturbed`` when it is given both x* and the exact operator.
+    ``gap``, ``bound`` (derived in ``solve_perturbed``) and
+    ``bound_components = (gap, amplification, x_star_norm)``, with
+    amplification = delta * c_sup, are filled only when the exact problem is
+    supplied for comparison and its stabilized system can be solved, and
+    ``bound`` only while the exact problem bears delta out and the bound is
+    finite. ``delta_realized`` is the noise the exact problem shows,
+    max(||A_tilde - A||_inf, ||f_tilde - A x*||_inf), filled when both x*
+    and the exact operator are given.
     """
 
     solution: np.ndarray
@@ -164,57 +161,6 @@ def _as_vector(x) -> np.ndarray:
     if isinstance(x, GridFunction):
         return x.values
     return np.asarray(x, dtype=float)
-
-
-def _report(x: np.ndarray, residual: float, c_est: float, c_sup: float, m_norm: float,
-            delta: float, q_max: float, x_star=None, gap: float | None = None,
-            selection=None, delta_realized: float | None = None,
-            delta_holds: bool = True) -> SolveReport:
-    """The report of a stabilized solve; both solvers build theirs here.
-
-    Owns both margins, q_est = delta * c_est with its flag q_est >= q_max and
-    q_sup = delta * c_sup. With ``x_star`` the report carries the observed
-    error; with the stabilization ``gap`` as well and ``delta_holds``, it
-    also carries the sup-norm error bound and its components.
-
-    The bound is a-posteriori (Higham, Accuracy and Stability of Numerical
-    Algorithms, ch. 7). Let y solve (A + B(alpha)) y = A x*, so that
-    ||y - x*||_inf = S, and r = f~ - M~ x for the observed M~ = A~ + B(alpha).
-    Then M~ (x - y) = (f~ - A x*) - (A~ - A) y - r, so with noise within delta
-    ||x - x*||_inf <= S + delta c_sup (1 + ||x*||_inf + S) + c_sup ||r||_inf,
-    at any q_sup. The computed c_sup and x are accurate to about n eps
-    cond(M~), cond(M~) = ``m_norm`` c_sup with ``m_norm`` = ||M~||_inf, so the
-    claim is that sum times 1 + rho, plus 2 rho ||x||_inf for the rounding of
-    r, with rho = 16 n eps cond(M~). A bound that is not finite is not claimed.
-    """
-    q_est = invertibility_margin(delta, c_est)
-    q_sup = invertibility_margin(delta, c_sup)
-    bound = components = observed = None
-    if x_star is not None:
-        xs = _as_vector(x_star)
-        observed = float(np.max(np.abs(x - xs)))
-        if gap is not None and delta_holds:
-            x_norm = float(np.max(np.abs(xs)))
-            rho = _ROUNDING_PER_ROW * x.size * _EPS * m_norm * c_sup
-            claim = (gap + q_sup * (1.0 + x_norm + gap) + c_sup * residual) * (1.0 + rho) \
-                + 2.0 * rho * float(np.max(np.abs(x)))
-            if math.isfinite(claim):
-                bound, components = claim, (gap, q_sup, x_norm)
-    return SolveReport(
-        solution=x,
-        residual_norm=residual,
-        c_alpha_est=c_est,
-        q_est=q_est,
-        q_exceeded=q_est >= q_max,
-        c_sup=c_sup,
-        q_sup=q_sup,
-        gap=gap,
-        bound=bound,
-        bound_components=components,
-        observed_error=observed,
-        delta_realized=delta_realized,
-        selection=selection,
-    )
 
 
 def _solve_linear(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -543,6 +489,20 @@ def solve_perturbed(A_tilde: DiscreteOperator, B: Stabilizer, alpha: float, f_ti
     the gap, and when A_exact + B(alpha) is singular there is no gap and no
     bound.
 
+    The report carries both margins, q_est = delta * c_alpha_est with its flag
+    q_est >= q_max and q_sup = delta * c_sup, and the error bound, which is
+    a-posteriori (Higham, Accuracy and Stability of Numerical Algorithms,
+    ch. 7). Let y solve (A + B(alpha)) y = A x*, so that
+    ||y - x*||_inf = S, the gap, and r = f~ - M~ x for the observed
+    M~ = A~ + B(alpha). Then M~ (x - y) = (f~ - A x*) - (A~ - A) y - r, so
+    with noise within delta
+    ||x - x*||_inf <= S + delta c_sup (1 + ||x*||_inf + S) + c_sup ||r||_inf,
+    at any q_sup. The computed c_sup and x are accurate to about n eps
+    cond(M~), cond(M~) = ||M~||_inf c_sup, so the bound is that sum times
+    1 + rho, plus 2 rho ||x||_inf for the rounding of r, with
+    rho = ``_ROUNDING_PER_ROW`` n eps cond(M~). A bound that is not finite
+    is not claimed.
+
     Parameters
     ----------
     A_tilde : DiscreteOperator
@@ -556,9 +516,9 @@ def solve_perturbed(A_tilde: DiscreteOperator, B: Stabilizer, alpha: float, f_ti
     config : RegConfig
         Supplies the noise level delta and the q threshold.
     x_star, A_exact : optional
-        Exact solution and exact operator, when known. With x_star alone the
-        report carries the observed error; with both it also carries the
-        stabilization gap, the realized noise
+        Exact solution and exact operator, when known, of the size of
+        f_tilde. With x_star alone the report carries the observed error;
+        with both it also carries the stabilization gap, the realized noise
         delta_realized = max(||A_tilde - A_exact||_inf, ||f_tilde - A_exact x*||_inf)
         and the error bound. The bound rests on noise of at most delta, so it
         is claimed only while each of the two norms is at most delta plus the
@@ -567,6 +527,9 @@ def solve_perturbed(A_tilde: DiscreteOperator, B: Stabilizer, alpha: float, f_ti
 
     Raises
     ------
+    ValueError
+        If alpha is not positive, or A_tilde, x_star or A_exact does not
+        match the size of f_tilde.
     SingularSystem
         If the assembled matrix cannot be factorized, or the solve returns
         non-finite values. A margin q_est at or above config.q_max does NOT
@@ -578,13 +541,41 @@ def solve_perturbed(A_tilde: DiscreteOperator, B: Stabilizer, alpha: float, f_ti
     f = _as_vector(f_tilde)
     if A_tilde.size != f.size:
         raise ValueError(f"operator size {A_tilde.size} does not match rhs size {f.size}")
-    exact = xs = delta_realized = None
-    delta_holds = True
-    if x_star is not None and A_exact is not None:
-        exact, xs = A_exact, _as_vector(x_star)
+    xs = None if x_star is None else _as_vector(x_star)
+    if xs is not None and xs.size != f.size:
+        raise ValueError(f"x_star size {xs.size} does not match rhs size {f.size}")
+    if A_exact is not None and A_exact.size != f.size:
+        raise ValueError(f"exact operator size {A_exact.size} does not match rhs size {f.size}")
+    exact = A_exact if xs is not None else None
+    delta_realized, delta_holds = None, True
+    if exact is not None:
         delta_realized, delta_holds = _realized_noise(A_tilde, exact, f, xs, config.delta)
     # delta_realized >= ||A_tilde - A_exact||_inf, as the gap's refinement needs
     x, residual, c_est, c_sup, m_norm, gap = _certified_solve(A_tilde, B, alpha, f, exact, xs,
                                                               delta_realized)
-    return _report(x, residual, c_est, c_sup, m_norm, config.delta, config.q_max, x_star=x_star,
-                   gap=gap, delta_realized=delta_realized, delta_holds=delta_holds)
+    q_est = invertibility_margin(config.delta, c_est)
+    q_sup = invertibility_margin(config.delta, c_sup)
+    bound = components = observed = None
+    if xs is not None:
+        observed = float(np.max(np.abs(x - xs)))
+        if gap is not None and delta_holds:
+            xs_norm = float(np.max(np.abs(xs)))
+            rho = _ROUNDING_PER_ROW * x.size * _EPS * m_norm * c_sup
+            claim = (gap + q_sup * (1.0 + xs_norm + gap) + c_sup * residual) * (1.0 + rho) \
+                + 2.0 * rho * float(np.max(np.abs(x)))
+            if math.isfinite(claim):
+                bound, components = claim, (gap, q_sup, xs_norm)
+    return SolveReport(
+        solution=x,
+        residual_norm=residual,
+        c_alpha_est=c_est,
+        q_est=q_est,
+        q_exceeded=q_est >= config.q_max,
+        c_sup=c_sup,
+        q_sup=q_sup,
+        gap=gap,
+        bound=bound,
+        bound_components=components,
+        observed_error=observed,
+        delta_realized=delta_realized,
+    )

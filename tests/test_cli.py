@@ -1094,6 +1094,19 @@ class TestSolve:
         assert capsys.readouterr() == (
             "", "error: interval [-1e+308, 1e+308] is wider than the float64 range\n")
 
+    @pytest.mark.parametrize("command", [["solve"], ["sweep", "--alphas", "0.1"]])
+    @pytest.mark.parametrize("key, value", [("alpha", 0.1), ("rule", "sqrt")])
+    def test_finite_dim_with_alpha_or_rule_exits_2(self, tmp_path, capsys, command, key,
+                                                   value):
+        # documented as not accepted; ignoring them would print "alpha": null
+        path = write_json(tmp_path, {
+            "matrix": [[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 2.0]],
+            "rhs": [0.0, 1.0, 1.0], "delta": 0.0, "exact_solution": [0.0, 1.0, 0.5], key: value,
+            "stabilizer": {"finite_dim": {"phis": [[1.0, 0.0, 0.0]], "psis": [[1.0, 0.0, 0.0]]}}})
+        assert main([command[0], str(path), *command[1:]]) == 2
+        assert capsys.readouterr() == (
+            "", "error: the finite_dim stabilizer takes no 'alpha' or 'rule'\n")
+
     def test_singular_system_exit_5(self, tmp_path):
         payload = {
             "matrix": [[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 2.0]],

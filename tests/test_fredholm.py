@@ -1,5 +1,7 @@
 """Tests for null-space stabilizers and the projected solve."""
 
+import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -10,13 +12,15 @@ from perturbreg import (
     DegenerateGram,
     DiscreteOperator,
     GridFunction,
+    RegConfig,
     SingularSystem,
     build_stabilizer,
     nullspace_basis,
     solve_fredholm_regularized,
+    solve_perturbed,
 )
 from perturbreg.fredholm import project_rhs
-from perturbreg.solve import c_alpha_estimate
+from perturbreg.solve import SolveReport, c_alpha_estimate
 
 
 def e(i, n):
@@ -69,6 +73,10 @@ class TestBuildStabilizer:
         np.testing.assert_allclose(basis.zs, [e(0, 3)], atol=1e-14)
         assert basis.rank == 1
         assert basis.stabilizer.rank == 1
+
+    def test_stabilizer_is_built_once(self):
+        basis = build_stabilizer([e(0, 3)], [e(0, 3)])
+        assert basis.stabilizer is basis.stabilizer
 
     def test_default_zs_are_biorthogonal(self):
         rng = np.random.default_rng(8)
@@ -253,6 +261,39 @@ class TestSolveFredholmRegularized:
         lu_level = (24 * np.finfo(float).eps * np.max(np.abs(m).sum(axis=1))
                     * np.max(np.abs(rep.solution)))
         assert rep.residual_norm <= lu_level
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_is_solve_perturbed_on_projected_data(self, seed):
+        rng = np.random.default_rng(seed)
+        a, basis, f = self._deficient(int(rng.integers(3, 40)), 10.0 ** (2 * seed), seed)
+        n, delta, q_max = a.shape[0], 1e-4, 0.25
+        a_tilde = DiscreteOperator.dense(a + delta * rng.uniform(-1.0, 1.0, a.shape) / n)
+        f_tilde = f + delta * rng.uniform(-1.0, 1.0, n)
+        x_star = rng.standard_normal(n) if seed % 2 else None
+        rep = solve_fredholm_regularized(a_tilde, basis, f_tilde, delta=delta, q_max=q_max,
+                                         x_star=x_star)
+        plain = solve_perturbed(a_tilde, basis.stabilizer, 1.0, project_rhs(f_tilde, basis),
+                                RegConfig(delta=delta, alpha=1.0, q_max=q_max), x_star=x_star)
+        for field in dataclasses.fields(SolveReport):
+            if field.name != "selection":
+                mine, theirs = getattr(rep, field.name), getattr(plain, field.name)
+                assert np.asarray(mine).tobytes() == np.asarray(theirs).tobytes(), field.name
+        assert plain.selection is None
+        np.testing.assert_array_equal(rep.selection, basis.gammas @ rep.solution)
+
+    @pytest.mark.parametrize("config", [{"delta": math.nan}, {"delta": math.inf},
+                                        {"delta": -1.0}, {"q_max": 1.5}])
+    def test_config_is_checked(self, config):
+        # delta nan would give q_est nan, and q_exceeded would never flag it
+        name = next(iter(config))
+        with pytest.raises(ValueError, match=name):
+            solve_fredholm_regularized(self.A, self.basis, np.array([0.0, 1.0, 1.0]), **config)
+
+    def test_x_star_size_mismatch(self):
+        # numpy would broadcast a length-1 x* into an observed error
+        with pytest.raises(ValueError, match="x_star size 1 does not match rhs size 3"):
+            solve_fredholm_regularized(self.A, self.basis, np.array([0.0, 1.0, 1.0]),
+                                       x_star=[7.0])
 
     def test_unshifted_defect_raises(self):
         # stabilizer built for the wrong direction leaves the system singular

@@ -189,6 +189,21 @@ class TestLoadFiniteDimProblems:
         with pytest.raises(ProblemFormatError):
             load_problem(write_problem(tmp_path, payload))
 
+    @pytest.mark.parametrize("extra", [{"alpha": 0.1}, {"rule": "sqrt"},
+                                       {"alpha": 0.1, "rule": "sqrt"}])
+    def test_alpha_and_rule_rejected(self, tmp_path, extra):
+        payload = {
+            "matrix": [[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 2.0]],
+            "rhs": [0.0, 1.0, 1.0],
+            "stabilizer": {"finite_dim": {"phis": [[1.0, 0.0, 0.0]],
+                                          "psis": [[1.0, 0.0, 0.0]]}},
+            "delta": 0.0,
+            **extra,
+        }
+        validate_problem(payload)  # the structure alone allows them
+        with pytest.raises(ProblemFormatError, match="takes no 'alpha' or 'rule'"):
+            load_problem(write_problem(tmp_path, payload))
+
     def test_degenerate_basis_propagates(self, tmp_path):
         payload = {
             "matrix": [[0.0, 0.0], [0.0, 1.0]],

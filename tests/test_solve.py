@@ -210,6 +210,22 @@ class TestSolvePerturbed:
         with pytest.raises(ValueError):
             solve_perturbed(A, Stabilizer.scalar_alpha(), 0.1, np.ones(3), cfg)
 
+    @pytest.mark.parametrize("x_star", [[0.5], [0.5, 0.5, 0.5]])
+    def test_x_star_size_mismatch(self, x_star):
+        # numpy would broadcast a length-1 x* into an observed error
+        A = DiscreteOperator.dense(2.0 * np.eye(4))
+        cfg = RegConfig(delta=0.0, alpha=0.1)
+        with pytest.raises(ValueError, match=f"x_star size {len(x_star)} does not match "
+                                             "rhs size 4"):
+            solve_perturbed(A, Stabilizer.scalar_alpha(), 0.1, np.ones(4), cfg, x_star=x_star)
+
+    def test_exact_operator_size_mismatch(self):
+        A = DiscreteOperator.dense(2.0 * np.eye(4))
+        cfg = RegConfig(delta=0.0, alpha=0.1)
+        with pytest.raises(ValueError, match="exact operator size 3 does not match rhs size 4"):
+            solve_perturbed(A, Stabilizer.scalar_alpha(), 0.1, np.ones(4), cfg,
+                            x_star=np.ones(4), A_exact=DiscreteOperator.dense(np.eye(3)))
+
     def test_nonpositive_alpha(self):
         A = DiscreteOperator.dense(np.eye(2))
         cfg = RegConfig(delta=0.0, alpha=0.1)
