@@ -36,7 +36,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 import warnings
 from pathlib import Path
 
@@ -89,25 +88,26 @@ def _cannot_write(path, exc: OSError) -> _OutputError:
 def _atomic_open(path):
     """A text file for writing at ``path``; it appears, whole, when the block ends.
 
-    Temp file in the destination directory, then rename: readers never see a
-    half-written file, and two identical runs leave identical bytes. The
-    file gets the mode ``open(path, "w")`` would give it, 0666 less the
-    umask, not the temp file's 0600. On an error the temp file is removed
-    and ``path`` is left as it was; an OSError on the way (no such
-    directory, a file in the way, a full disk) becomes ``cannot write <path>``.
+    A new temp file ``<path>.<8 random hex digits>`` beside the destination,
+    then rename: readers never see a half-written file, and two identical
+    runs leave identical bytes. The temp file is created with mode 0666, so
+    the kernel applies the umask as it does for ``open(path, "w")``; the
+    process umask is never read or set. O_EXCL refuses a file already there,
+    and O_BINARY (Windows only) leaves newline translation to the text layer.
+    On an error the temp file is removed and ``path`` is left as it was; an
+    OSError on the way (no such directory, a file in the way, a full disk)
+    becomes ``cannot write <path>``.
     """
-    target = Path(path)
+    tmp_name = f"{path}.{os.urandom(4).hex()}"
     try:
-        fd, tmp_name = tempfile.mkstemp(dir=str(target.parent), prefix=target.name + ".")
+        fd = os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0),
+                     0o666)
     except OSError as exc:
         raise _cannot_write(path, exc) from exc
     try:
         with os.fdopen(fd, "w") as fh:
             yield fh
-        umask = os.umask(0)  # the only way to read it is to set it
-        os.umask(umask)
-        os.chmod(tmp_name, 0o666 & ~umask)
-        os.replace(tmp_name, target)
+        os.replace(tmp_name, path)
     except BaseException as exc:
         with contextlib.suppress(OSError):
             os.unlink(tmp_name)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import AlphaTooSmall, SampleOverflow, WindowTooNarrow
 from .grid import GridFunction
-from .operators import DiscreteOperator, first_order_scan, running_trapezoid
+from .operators import DiscreteOperator, _check_alpha, first_order_scan, running_trapezoid
 
 
 @dataclass(frozen=True)
@@ -110,8 +110,7 @@ def resolvent_apply(g: GridFunction, alpha: float) -> GridFunction:
     SampleOverflow
         When finite samples produce a result outside the float64 range.
     """
-    if alpha <= 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    _check_alpha(alpha)
     _warn_unresolved(alpha, g.h)
     h, vals = g.h, g.values
     r = math.exp(-h / alpha)
@@ -173,8 +172,7 @@ def _derivative_rows(values: np.ndarray, a: float, b: float, alpha: float,
     x_alpha and derivatives, checked in that call's order: the detrended
     samples, AlphaTooSmall once per row, the solve, the slope (SampleOverflow).
     """
-    if alpha <= 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    _check_alpha(alpha)
     op = DiscreteOperator.volterra(a, b, values.shape[-1])
     with np.errstate(over="ignore", invalid="ignore"):
         t = np.linspace(a, b, op.n)

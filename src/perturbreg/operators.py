@@ -81,6 +81,12 @@ def cumulative_trapezoid_matrix(n: int, h: float) -> np.ndarray:
     return m
 
 
+def _check_alpha(alpha: float) -> float:
+    if not 0.0 < alpha < math.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
+    return alpha
+
+
 @dataclass(frozen=True)
 class DiscreteOperator:
     """A dense matrix, or the running trapezoid integral on a described grid.
@@ -158,8 +164,7 @@ class DiscreteOperator:
         """
         if not self.is_volterra:
             raise ValueError("solve_shifted needs the running-integral operator")
-        if alpha <= 0.0:
-            raise ValueError(f"alpha must be positive, got {alpha}")
+        _check_alpha(alpha)
         f = np.atleast_1d(np.asarray(f, dtype=float))
         if f.shape[-1] != self.n:
             raise ValueError(f"operand size {f.shape[-1]} does not match operator size {self.n}")
@@ -182,8 +187,7 @@ class DiscreteOperator:
         """
         if not self.is_volterra:
             raise ValueError("shifted_inverse_norm needs the running-integral operator")
-        if alpha <= 0.0:
-            raise ValueError(f"alpha must be positive, got {alpha}")
+        _check_alpha(alpha)
         half_h = 0.5 * self.h
         if alpha <= half_h:
             return 1.0 / alpha

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DegenerateDelta, SingularSystem
 from .grid import GridFunction
-from .operators import DiscreteOperator, Stabilizer
+from .operators import DiscreteOperator, Stabilizer, _check_alpha
 
 
 class SqrtDelta:
@@ -92,10 +92,12 @@ def coordinate_alpha(delta: float, rule: CoordinationRule) -> float:
 class RegConfig:
     """Noise level, parameter choice, and the safety threshold for q.
 
-    Exactly one of ``alpha`` and ``rule`` must be given. ``q_max`` is the
-    largest acceptable 2-norm margin q_est = delta * c_alpha_est before a
-    solve gets flagged. The flag does not touch the error bound, which
-    holds at any margin.
+    Exactly one of ``alpha`` and ``rule`` must be given. A set ``alpha``
+    must equal the alpha passed to ``solve_perturbed``; a ``rule`` is
+    resolved by the caller (``coordinate_alpha``) and is not read here.
+    ``q_max`` is the largest acceptable 2-norm margin
+    q_est = delta * c_alpha_est before a solve gets flagged. The flag does
+    not touch the error bound, which holds at any margin.
     """
 
     delta: float
@@ -108,8 +110,8 @@ class RegConfig:
             raise ValueError(f"delta must be a finite number >= 0, got {self.delta}")
         if (self.alpha is None) == (self.rule is None):
             raise ValueError("exactly one of alpha and rule must be set")
-        if self.alpha is not None and not 0.0 < self.alpha < math.inf:
-            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
+        if self.alpha is not None:
+            _check_alpha(self.alpha)
         if not 0.0 < self.q_max < 1.0:
             raise ValueError(f"q_max must lie in (0, 1), got {self.q_max}")
 
@@ -295,6 +297,7 @@ def c_alpha_estimate(A: DiscreteOperator, B: Stabilizer, alpha: float) -> tuple[
     (``solve_perturbed``) takes both norms from the one inverse that also
     gives its solution, its residual and its stabilization gap.
     """
+    _check_alpha(alpha)
     if _is_shifted_integral(A, B):
         c_sup = A.shifted_inverse_norm(alpha) * (1.0 + _ROUNDING_PER_ROW * A.n * _EPS)
         return 2.0 / alpha, c_sup
@@ -407,8 +410,7 @@ def stabilization_gap(A: DiscreteOperator, B: Stabilizer, alpha: float, x_star) 
     SingularSystem
         If A + B(alpha) cannot be factorized.
     """
-    if alpha <= 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    _check_alpha(alpha)
     xs = _as_vector(x_star)
     return float(np.max(np.abs(_solve_stabilized(A, B, alpha, B.apply(alpha, xs)))))
 
@@ -425,9 +427,7 @@ def stabilization_sweep(A: DiscreteOperator, B: Stabilizer, alphas: Sequence[flo
     lone ``stabilization_gap`` call gives. A finite-rank stabilizer does not
     depend on alpha, so its one gap is solved once and repeated on every row.
     """
-    alphas = [float(a) for a in alphas]
-    if any(a <= 0.0 for a in alphas):
-        raise ValueError("sweep alphas must be positive")
+    alphas = [_check_alpha(float(a)) for a in alphas]
     if not alphas:
         return []
     if not B.is_scalar:
@@ -514,7 +514,9 @@ def solve_perturbed(A_tilde: DiscreteOperator, B: Stabilizer, alpha: float, f_ti
     f_tilde : array_like or GridFunction
         Observed right-hand side.
     config : RegConfig
-        Supplies the noise level delta and the q threshold.
+        Supplies the noise level delta and the q threshold. Its alpha, when
+        set, must equal ``alpha``; a ``rule`` is resolved by the caller
+        (``coordinate_alpha``) and is not read here.
     x_star, A_exact : optional
         Exact solution and exact operator, when known, of the size of
         f_tilde. With x_star alone the report carries the observed error;
@@ -528,20 +530,25 @@ def solve_perturbed(A_tilde: DiscreteOperator, B: Stabilizer, alpha: float, f_ti
     Raises
     ------
     ValueError
-        If alpha is not positive, or A_tilde, x_star or A_exact does not
-        match the size of f_tilde.
+        If alpha is not positive and finite or differs from config.alpha,
+        f_tilde or x_star is not one-dimensional, or A_tilde, x_star or
+        A_exact does not match the size of f_tilde.
     SingularSystem
         If the assembled matrix cannot be factorized, or the solve returns
         non-finite values. A margin q_est at or above config.q_max does NOT
         raise: the solution is still returned, flagged with
         ``q_exceeded=True``.
     """
-    if alpha <= 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    _check_alpha(alpha)
+    if config.alpha is not None and config.alpha != alpha:
+        raise ValueError(f"config.alpha {config.alpha} differs from alpha {alpha}")
     f = _as_vector(f_tilde)
+    xs = None if x_star is None else _as_vector(x_star)
+    for name, v in (("f_tilde", f), ("x_star", xs)):
+        if v is not None and v.ndim != 1:
+            raise ValueError(f"{name} must be one-dimensional, got shape {v.shape}")
     if A_tilde.size != f.size:
         raise ValueError(f"operator size {A_tilde.size} does not match rhs size {f.size}")
-    xs = None if x_star is None else _as_vector(x_star)
     if xs is not None and xs.size != f.size:
         raise ValueError(f"x_star size {xs.size} does not match rhs size {f.size}")
     if A_exact is not None and A_exact.size != f.size:

@@ -1642,6 +1642,21 @@ LIBRARY_CALL = {"differentiate": "regularized_derivative", "solve": "solve_pertu
                 "experiment": "convergence_study", "sweep": "stabilization_sweep"}
 
 
+@pytest.mark.parametrize("command", COMMANDS)
+def test_out_files_take_the_umask_without_setting_it(tmp_path, monkeypatch, umask, command):
+    # the kernel applies the umask to each new temp file; the process umask
+    # is never set, not even for a moment, so another thread's files keep it
+    def refuse(mask):
+        raise AssertionError("the process umask was set")
+    out = tmp_path / "out"
+    argv = command_argv(tmp_path, command) + ["--out", str(out)]
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "umask", refuse)
+        assert main(argv) == 0
+    files = list(out.iterdir()) if out.is_dir() else [out]
+    assert {file_mode(path) for path in files} == {0o666 & ~umask}
+
+
 class TestErrorMap:
     """``main`` turns a library error from any command into one line and its code."""
 

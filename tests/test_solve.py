@@ -17,6 +17,8 @@ from perturbreg import (
     SingularSystem,
     Stabilizer,
     operators,
+    regularized_derivative,
+    resolvent_apply,
     solve,
     solve_perturbed,
     stabilization_gap,
@@ -96,6 +98,46 @@ class TestRegConfig:
     def test_non_finite_delta_or_alpha(self, delta, alpha):
         with pytest.raises(ValueError, match="finite"):
             RegConfig(delta=delta, alpha=alpha)
+
+
+# Every entry point that takes alpha, as a call on a four-point operator; the
+# sites that take an operator run on a dense one and on the running integral.
+ALPHA_SITES = {
+    "solve_shifted": lambda A, alpha: A.solve_shifted(alpha, np.ones(4)),
+    "shifted_inverse_norm": lambda A, alpha: A.shifted_inverse_norm(alpha),
+    "resolvent_apply": lambda A, alpha: resolvent_apply(GridFunction(0.0, 1.0, np.ones(4)),
+                                                        alpha),
+    "regularized_derivative": lambda A, alpha: regularized_derivative(
+        GridFunction(0.0, 1.0, np.ones(4)), alpha),
+    "RegConfig": lambda A, alpha: RegConfig(delta=0.01, alpha=alpha),
+    "stabilization_gap": lambda A, alpha: stabilization_gap(A, Stabilizer.scalar_alpha(), alpha,
+                                                            np.ones(4)),
+    "solve_perturbed": lambda A, alpha: solve_perturbed(
+        A, Stabilizer.scalar_alpha(), alpha, np.ones(4), RegConfig(delta=0.01, rule=SqrtDelta())),
+    "stabilization_sweep": lambda A, alpha: stabilization_sweep(
+        A, Stabilizer.scalar_alpha(), [0.1, alpha], np.ones(4)),
+    "c_alpha_estimate": lambda A, alpha: c_alpha_estimate(A, Stabilizer.scalar_alpha(), alpha),
+}
+ALPHA_SITES_ON_BOTH = ["stabilization_gap", "solve_perturbed", "stabilization_sweep",
+                       "c_alpha_estimate"]
+
+
+class TestAlphaRule:
+    """alpha must be positive and finite, at every entry point, in one wording."""
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("site, operator", [
+        *((name, "volterra") for name in ALPHA_SITES),
+        *((name, "dense") for name in ALPHA_SITES_ON_BOTH),
+    ])
+    def test_bad_alpha_raises_one_error(self, site, operator, alpha):
+        A = DiscreteOperator.volterra(0.0, 1.0, 4) if operator == "volterra" \
+            else DiscreteOperator.dense(2.0 * np.eye(4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as raised:
+                ALPHA_SITES[site](A, alpha)
+        assert str(raised.value) == f"alpha must be positive and finite, got {alpha}"
 
 
 class TestMargin:
@@ -225,6 +267,29 @@ class TestSolvePerturbed:
         with pytest.raises(ValueError, match="exact operator size 3 does not match rhs size 4"):
             solve_perturbed(A, Stabilizer.scalar_alpha(), 0.1, np.ones(4), cfg,
                             x_star=np.ones(4), A_exact=DiscreteOperator.dense(np.eye(3)))
+
+    @pytest.mark.parametrize("name", ["f_tilde", "x_star"])
+    def test_column_vector_rejected(self, name):
+        # a (4, 1) x* would broadcast against the (4,) solution into an
+        # observed error of 1.4286 where the solution is exact
+        A = DiscreteOperator.dense(2.0 * np.eye(4))
+        f = np.array([1.0, 2.0, 3.0, 4.0])
+        vectors = {"f_tilde": f, "x_star": f / 2.1}
+        vectors[name] = vectors[name][:, None]
+        message = rf"^{name} must be one-dimensional, got shape \(4, 1\)$"
+        with pytest.raises(ValueError, match=message):
+            solve_perturbed(A, Stabilizer.scalar_alpha(), 0.1, vectors["f_tilde"],
+                            RegConfig(delta=1e-3, alpha=0.1), x_star=vectors["x_star"])
+
+    def test_config_alpha_must_match(self):
+        A = DiscreteOperator.dense(2.0 * np.eye(4))
+        f = np.array([1.0, 2.0, 3.0, 4.0])
+        with pytest.raises(ValueError, match=r"^config.alpha 0.5 differs from alpha 0.1$"):
+            solve_perturbed(A, Stabilizer.scalar_alpha(), 0.1, f, RegConfig(delta=1e-3, alpha=0.5))
+        rep = solve_perturbed(A, Stabilizer.scalar_alpha(), 0.1, f,
+                              RegConfig(delta=1e-3, alpha=0.1), x_star=f / 2.1)
+        np.testing.assert_allclose(rep.solution, f / 2.1, rtol=1e-15)
+        assert rep.observed_error < 1e-15
 
     def test_nonpositive_alpha(self):
         A = DiscreteOperator.dense(np.eye(2))
@@ -652,7 +717,9 @@ class TestCAlphaEstimate:
         rng = np.random.default_rng(seed)
         s = alpha + rng.uniform(0.0, 1.0, n)
         m = (_orthogonal(rng, n) * s) @ _orthogonal(rng, n).T
-        c_est, _ = c_alpha_estimate(DiscreteOperator.dense(m), Stabilizer.scalar_alpha(), 0.0)
+        # the zero stabilizer leaves m itself, at any valid alpha
+        zero = Stabilizer.finite_dim([np.zeros(n)], [np.zeros(n)])
+        c_est, _ = c_alpha_estimate(DiscreteOperator.dense(m), zero, 1.0)
         sigma_min = np.linalg.svd(m, compute_uv=False)[-1]
         assert c_est <= (1.0 / sigma_min) * (1.0 + 1e-12)
 
