@@ -23,6 +23,7 @@ import numpy as np
 from .differentiate import _derivative_rows, _finite
 from .errors import UnknownExample
 from .grid import GridFunction
+from .operators import _check_delta
 from .solve import SqrtDelta, coordinate_alpha
 
 
@@ -54,8 +55,7 @@ class NoiseSpec:
     distribution: str = "gaussian_unit"
 
     def __post_init__(self):
-        if not 0.0 <= self.delta < math.inf:
-            raise ValueError(f"delta must be a finite number >= 0, got {self.delta}")
+        _check_delta(self.delta)
         if self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
         if self.distribution not in _UNIT_DRAWS:
@@ -95,26 +95,28 @@ EXAMPLES = {
 }
 
 
+def _example(example_id: int) -> BenchmarkExample:
+    """The benchmark function with this id; UnknownExample for any other id."""
+    try:
+        return EXAMPLES[example_id]
+    except KeyError:
+        raise UnknownExample(f"no benchmark example with id {example_id!r}") from None
+
+
 def example_function(example_id: int, t):
     """Value and exact derivative of a benchmark function at t.
 
     Example 1 is sin(pi*t/4) / (t^3 + 1) on [0, 3]; example 2 is
     cos(pi*t/8) * exp(-t^2) on [0, 5]. Raises UnknownExample otherwise.
     """
-    try:
-        ex = EXAMPLES[example_id]
-    except KeyError:
-        raise UnknownExample(f"no benchmark example with id {example_id!r}") from None
+    ex = _example(example_id)
     t = np.asarray(t, dtype=float)
     return ex.y(t), ex.dy(t)
 
 
 def example_interval(example_id: int) -> tuple[float, float]:
     """The interval a benchmark function is defined on."""
-    try:
-        ex = EXAMPLES[example_id]
-    except KeyError:
-        raise UnknownExample(f"no benchmark example with id {example_id!r}") from None
+    ex = _example(example_id)
     return ex.a, ex.b
 
 
@@ -156,7 +158,7 @@ class ExperimentReport:
 
 def _sample(example_id: int, n: int) -> tuple[GridFunction, GridFunction]:
     """A benchmark function and its exact derivative on n uniform points."""
-    ex = EXAMPLES[example_id]
+    ex = _example(example_id)
     return GridFunction.sample(ex.y, ex.a, ex.b, n), GridFunction.sample(ex.dy, ex.a, ex.b, n)
 
 
@@ -194,7 +196,7 @@ def run_experiment(example_id: int, delta: float, seed: int, n: int = 512,
     (see NoiseSpec); pass "uniform_bounded" for noise that meets the paper's
     hypothesis ||f~ - f||_inf <= delta.
     """
-    example_interval(example_id)  # UnknownExample comes first
+    _example(example_id)  # UnknownExample comes first
     if alpha is None:
         alpha = coordinate_alpha(delta, SqrtDelta())
     y, exact = _sample(example_id, n)
@@ -259,7 +261,7 @@ def convergence_study(example_id: int, deltas: Sequence[float], seeds: Sequence[
         raise ValueError("need at least one delta")
     if not seeds:
         raise ValueError("need at least one seed")
-    example_interval(example_id)
+    _example(example_id)
     alphas = [coordinate_alpha(delta, SqrtDelta()) for delta in deltas]
     if min(seeds) < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {min(seeds)}")

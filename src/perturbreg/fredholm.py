@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BiorthogonalityFailed, DegenerateGram
-from .operators import DiscreteOperator, Stabilizer, _stack_vectors
+from .operators import DiscreteOperator, Stabilizer, _as_vector, _stack_vectors
 from .solve import RegConfig, SolveReport, solve_perturbed
 
 _BIORTHO_TOL = 1e-10
@@ -150,9 +150,9 @@ def project_rhs(f, basis: FredholmBasis) -> np.ndarray:
 
     The projected vector pairs to zero with every psi_i whenever the zs are
     exactly biorthogonal, which keeps the stabilized system consistent with
-    the solvable part of the data.
+    the solvable part of the data. f must be a vector of the basis size.
     """
-    f = np.asarray(f, dtype=float)
+    f = _as_vector(f, basis.psis.shape[1], "f", "basis")
     return f - basis.zs.T @ (basis.psis @ f)
 
 
@@ -174,11 +174,12 @@ def solve_fredholm_regularized(A_tilde: DiscreteOperator, basis: FredholmBasis, 
     Raises
     ------
     ValueError
-        From ``RegConfig`` (delta, q_max) or ``solve_perturbed`` (sizes).
+        From ``RegConfig`` (delta, q_max), when f_tilde is not a vector of
+        the size of A_tilde, or from ``solve_perturbed`` (x_star).
     SingularSystem
         If the stabilized matrix still cannot be factorized.
     """
     config = RegConfig(delta=delta, alpha=1.0, q_max=q_max)
-    report = solve_perturbed(A_tilde, basis.stabilizer, 1.0, project_rhs(f_tilde, basis), config,
-                             x_star=x_star)
+    f = project_rhs(_as_vector(f_tilde, A_tilde.size, "f_tilde"), basis)
+    report = solve_perturbed(A_tilde, basis.stabilizer, 1.0, f, config, x_star=x_star)
     return replace(report, selection=basis.gammas @ report.solution)

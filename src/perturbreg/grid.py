@@ -20,8 +20,11 @@ def _float_width(a, b) -> float:
         return math.inf
 
 
-def _check_step(a, b, n: int) -> None:
-    """Reject a grid of n points on [a, b] whose step float64 cannot hold.
+def _check_grid(a, b, n: int) -> None:
+    """ValueError unless n points on [a, b] make a grid that float64 can hold.
+
+    The interval must be nonempty with a width inside the float64 range, and
+    n at least 2.
 
     The samples are those of np.linspace(a, b, n), t_i = i*h + a. Below the
     float spacing at the interior sample of largest magnitude, t_1 or
@@ -31,10 +34,15 @@ def _check_step(a, b, n: int) -> None:
     farther off than the spacing at t_1, and likewise at b. With n = 2 there
     is no interior sample, and a < b is enough. A subnormal step is rounded
     to a multiple of the least subnormal, so i*h can reach b before i does;
-    t_(n-2) must stay below b. The interval must already be known to lie
-    within the float64 range.
+    t_(n-2) must stay below b.
     """
-    if n <= 2:
+    if not b > a:
+        raise ValueError(f"empty interval [{a}, {b}]")
+    if not math.isfinite(_float_width(a, b)):
+        raise ValueError(f"interval [{a}, {b}] is wider than the float64 range")
+    if n < 2:
+        raise ValueError(f"need at least two grid points, got {n}")
+    if n == 2:
         return
     start, stop = float(a), float(b)
     h = (stop - start) / (n - 1)
@@ -63,13 +71,9 @@ class GridFunction:
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 1 or vals.size < 2:
-            raise ValueError("need a 1-d array of at least two samples")
-        if not self.b > self.a:
-            raise ValueError(f"empty interval [{self.a}, {self.b}]")
-        if not math.isfinite(_float_width(self.a, self.b)):
-            raise ValueError(f"interval [{self.a}, {self.b}] is wider than the float64 range")
-        _check_step(self.a, self.b, vals.size)
+        if vals.ndim != 1:
+            raise ValueError(f"need a 1-d array of samples, got shape {vals.shape}")
+        _check_grid(self.a, self.b, vals.size)
         if not np.all(np.isfinite(vals)):
             raise ValueError("samples must be finite")
         object.__setattr__(self, "values", vals)

@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import GridFunction, _check_step, _float_width
+from .grid import GridFunction, _check_grid
 
 # Samples per block of ``first_order_scan``. Each sample costs one row of a
 # matrix product this wide; smaller blocks would add recursion levels, each a
@@ -87,6 +87,22 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
+def _check_delta(delta: float) -> None:
+    if not 0.0 <= delta < math.inf:
+        raise ValueError(f"delta must be a finite number >= 0, got {delta}")
+
+
+def _as_vector(x, n: int, name: str, against: str = "operator") -> np.ndarray:
+    """x as a float array of shape (n,), a GridFunction as its values; any other
+    shape, such as a column (n, 1) that would broadcast, is a ValueError."""
+    v = x.values if isinstance(x, GridFunction) else np.asarray(x, dtype=float)
+    if v.ndim != 1:
+        raise ValueError(f"{name} must be one-dimensional, got shape {v.shape}")
+    if v.size != n:
+        raise ValueError(f"{name} size {v.size} does not match {against} size {n}")
+    return v
+
+
 @dataclass(frozen=True)
 class DiscreteOperator:
     """A dense matrix, or the running trapezoid integral on a described grid.
@@ -112,13 +128,7 @@ class DiscreteOperator:
     @classmethod
     def volterra(cls, a: float, b: float, n: int) -> "DiscreteOperator":
         """Running trapezoid integral over [a, b] on n uniform points."""
-        if not b > a:
-            raise ValueError(f"empty interval [{a}, {b}]")
-        if not math.isfinite(_float_width(a, b)):
-            raise ValueError(f"interval [{a}, {b}] is wider than the float64 range")
-        if n < 2:
-            raise ValueError(f"need at least two grid points, got {n}")
-        _check_step(a, b, n)
+        _check_grid(a, b, n)
         return cls(a=float(a), b=float(b), n=int(n))
 
     @property
@@ -141,9 +151,7 @@ class DiscreteOperator:
         return self.matrix
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.size != self.size:
-            raise ValueError(f"operand size {x.size} does not match operator size {self.size}")
+        x = _as_vector(x, self.size, "operand")
         if self.is_volterra:
             return running_trapezoid(x, self.h)
         return self.matrix @ x

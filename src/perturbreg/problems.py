@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import ProblemFormatError
 from .fredholm import FredholmBasis, build_stabilizer
+from .grid import _check_grid
 from .operators import DiscreteOperator
 from .solve import CoordinationRule, PowerDelta, SqrtDelta
 
@@ -231,11 +232,9 @@ def _square_matrix(raw, n: int, what: str) -> np.ndarray:
 
 
 def _volterra(a, b, n: int) -> DiscreteOperator:
-    if n < 2:
-        raise ProblemFormatError("the integral operator needs at least two grid points")
     try:
         return DiscreteOperator.volterra(a, b, n)
-    except ValueError as exc:  # a grid step below the float64 spacing
+    except ValueError as exc:  # too few points, or a step below the float64 spacing
         raise ProblemFormatError(str(exc)) from exc
 
 
@@ -271,10 +270,10 @@ def load_problem(path) -> Problem:
         raise ProblemFormatError("exactly one of 'matrix' and 'operator' must be given")
 
     a, b = raw.get("interval", [0.0, 1.0])
-    if not b > a:
-        raise ProblemFormatError(f"interval [{a}, {b}] is empty")
-    if not math.isfinite(float(b) - float(a)):
-        raise ProblemFormatError(f"interval [{a}, {b}] is wider than the float64 range")
+    try:
+        _check_grid(a, b, 2)  # a dense file's interval too
+    except ValueError as exc:
+        raise ProblemFormatError(str(exc)) from exc
 
     if has_matrix:
         operator = DiscreteOperator.dense(_square_matrix(raw["matrix"], n, "matrix"))

@@ -30,8 +30,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import DegenerateDelta, SingularSystem
-from .grid import GridFunction
-from .operators import DiscreteOperator, Stabilizer, _check_alpha
+from .operators import DiscreteOperator, Stabilizer, _as_vector, _check_alpha, _check_delta
 
 
 class SqrtDelta:
@@ -90,26 +89,20 @@ def coordinate_alpha(delta: float, rule: CoordinationRule) -> float:
 
 @dataclass(frozen=True)
 class RegConfig:
-    """Noise level, parameter choice, and the safety threshold for q.
+    """Noise level, regularization parameter, and the safety threshold for q.
 
-    Exactly one of ``alpha`` and ``rule`` must be given. A set ``alpha``
-    must equal the alpha passed to ``solve_perturbed``; a ``rule`` is
-    resolved by the caller (``coordinate_alpha``) and is not read here.
-    ``q_max`` is the largest acceptable 2-norm margin
+    A set ``alpha`` must equal the alpha passed to ``solve_perturbed``; None
+    stands for that alpha. ``q_max`` is the largest acceptable 2-norm margin
     q_est = delta * c_alpha_est before a solve gets flagged. The flag does
     not touch the error bound, which holds at any margin.
     """
 
     delta: float
     alpha: float | None = None
-    rule: CoordinationRule | None = None
     q_max: float = 0.5
 
     def __post_init__(self):
-        if not 0.0 <= self.delta < math.inf:
-            raise ValueError(f"delta must be a finite number >= 0, got {self.delta}")
-        if (self.alpha is None) == (self.rule is None):
-            raise ValueError("exactly one of alpha and rule must be set")
+        _check_delta(self.delta)
         if self.alpha is not None:
             _check_alpha(self.alpha)
         if not 0.0 < self.q_max < 1.0:
@@ -150,19 +143,6 @@ class SolveReport:
     observed_error: float | None = None
     delta_realized: float | None = None
     selection: np.ndarray | None = None
-
-
-def invertibility_margin(delta: float, c_alpha: float) -> float:
-    """The margin q = delta * c(alpha); at q >= 1 solvability is no longer implied."""
-    if delta < 0.0 or c_alpha < 0.0:
-        raise ValueError("delta and c_alpha must be nonnegative")
-    return delta * c_alpha
-
-
-def _as_vector(x) -> np.ndarray:
-    if isinstance(x, GridFunction):
-        return x.values
-    return np.asarray(x, dtype=float)
 
 
 def _solve_linear(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -407,11 +387,14 @@ def stabilization_gap(A: DiscreteOperator, B: Stabilizer, alpha: float, x_star) 
 
     Raises
     ------
+    ValueError
+        If alpha is not positive and finite, or x_star is not one-dimensional
+        or not of the size of A.
     SingularSystem
         If A + B(alpha) cannot be factorized.
     """
     _check_alpha(alpha)
-    xs = _as_vector(x_star)
+    xs = _as_vector(x_star, A.size, "x_star")
     return float(np.max(np.abs(_solve_stabilized(A, B, alpha, B.apply(alpha, xs)))))
 
 
@@ -426,17 +409,18 @@ def stabilization_sweep(A: DiscreteOperator, B: Stabilizer, alphas: Sequence[flo
     sees the same column-major matrix either way, so each gap has the bits a
     lone ``stabilization_gap`` call gives. A finite-rank stabilizer does not
     depend on alpha, so its one gap is solved once and repeated on every row.
+    x_star is checked as ``stabilization_gap`` checks it, even with no alphas.
     """
     alphas = [_check_alpha(float(a)) for a in alphas]
+    xs = _as_vector(x_star, A.size, "x_star")
     if not alphas:
         return []
     if not B.is_scalar:
-        gap = stabilization_gap(A, B, alphas[0], x_star)
+        gap = stabilization_gap(A, B, alphas[0], xs)
         return [(a, gap) for a in alphas]
     if A.is_volterra:
-        return [(a, stabilization_gap(A, B, a, x_star)) for a in alphas]
+        return [(a, stabilization_gap(A, B, a, xs)) for a in alphas]
     columns = np.asfortranarray(A.matrix)
-    xs = _as_vector(x_star)
     return [(a, float(np.max(np.abs(_solve_linear(_shifted(columns, a), a * xs)))))
             for a in alphas]
 
@@ -515,8 +499,7 @@ def solve_perturbed(A_tilde: DiscreteOperator, B: Stabilizer, alpha: float, f_ti
         Observed right-hand side.
     config : RegConfig
         Supplies the noise level delta and the q threshold. Its alpha, when
-        set, must equal ``alpha``; a ``rule`` is resolved by the caller
-        (``coordinate_alpha``) and is not read here.
+        set, must equal ``alpha``.
     x_star, A_exact : optional
         Exact solution and exact operator, when known, of the size of
         f_tilde. With x_star alone the report carries the observed error;
@@ -531,8 +514,8 @@ def solve_perturbed(A_tilde: DiscreteOperator, B: Stabilizer, alpha: float, f_ti
     ------
     ValueError
         If alpha is not positive and finite or differs from config.alpha,
-        f_tilde or x_star is not one-dimensional, or A_tilde, x_star or
-        A_exact does not match the size of f_tilde.
+        f_tilde or x_star is not one-dimensional, f_tilde does not match the
+        size of A_tilde, or x_star or A_exact that of f_tilde.
     SingularSystem
         If the assembled matrix cannot be factorized, or the solve returns
         non-finite values. A margin q_est at or above config.q_max does NOT
@@ -542,15 +525,8 @@ def solve_perturbed(A_tilde: DiscreteOperator, B: Stabilizer, alpha: float, f_ti
     _check_alpha(alpha)
     if config.alpha is not None and config.alpha != alpha:
         raise ValueError(f"config.alpha {config.alpha} differs from alpha {alpha}")
-    f = _as_vector(f_tilde)
-    xs = None if x_star is None else _as_vector(x_star)
-    for name, v in (("f_tilde", f), ("x_star", xs)):
-        if v is not None and v.ndim != 1:
-            raise ValueError(f"{name} must be one-dimensional, got shape {v.shape}")
-    if A_tilde.size != f.size:
-        raise ValueError(f"operator size {A_tilde.size} does not match rhs size {f.size}")
-    if xs is not None and xs.size != f.size:
-        raise ValueError(f"x_star size {xs.size} does not match rhs size {f.size}")
+    f = _as_vector(f_tilde, A_tilde.size, "f_tilde")
+    xs = None if x_star is None else _as_vector(x_star, f.size, "x_star", "rhs")
     if A_exact is not None and A_exact.size != f.size:
         raise ValueError(f"exact operator size {A_exact.size} does not match rhs size {f.size}")
     exact = A_exact if xs is not None else None
@@ -560,8 +536,7 @@ def solve_perturbed(A_tilde: DiscreteOperator, B: Stabilizer, alpha: float, f_ti
     # delta_realized >= ||A_tilde - A_exact||_inf, as the gap's refinement needs
     x, residual, c_est, c_sup, m_norm, gap = _certified_solve(A_tilde, B, alpha, f, exact, xs,
                                                               delta_realized)
-    q_est = invertibility_margin(config.delta, c_est)
-    q_sup = invertibility_margin(config.delta, c_sup)
+    q_est, q_sup = config.delta * c_est, config.delta * c_sup
     bound = components = observed = None
     if xs is not None:
         observed = float(np.max(np.abs(x - xs)))

@@ -1,5 +1,6 @@
 """Tests for uniform-grid function containers."""
 
+import json
 import math
 import warnings
 
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from perturbreg import GridFunction
+from perturbreg import DiscreteOperator, GridFunction, ProblemFormatError
+from perturbreg.problems import load_problem
 
 
 def test_sample_matches_callable():
@@ -146,3 +148,39 @@ def test_rejects_matrix_input():
 def test_integer_input_coerced_to_float():
     g = GridFunction(0.0, 1.0, np.array([1, 2, 3]))
     assert g.values.dtype == np.float64
+
+
+def _load_integral_problem(tmp_path, a, b, n):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({
+        "operator": "volterra", "exact_matrix": "volterra", "interval": [a, b],
+        "rhs": [0.0] * n, "stabilizer": {"scalar_alpha": {}}, "delta": 0.0, "alpha": 0.1,
+    }))
+    return load_problem(path)
+
+
+# Every entry point that takes a grid; a problem file reports the grid rule
+# as a ProblemFormatError.
+GRID_SITES = {
+    "GridFunction": (lambda tmp_path, a, b, n: GridFunction(a, b, np.zeros(n)), ValueError),
+    "volterra": (lambda tmp_path, a, b, n: DiscreteOperator.volterra(a, b, n), ValueError),
+    "load_problem": (_load_integral_problem, ProblemFormatError),
+}
+
+
+@pytest.mark.parametrize("site", GRID_SITES)
+@pytest.mark.parametrize("a, b, n, message", [
+    (1.0, 1.0, 3, "empty interval [1.0, 1.0]"),
+    (1.0, 0.0, 3, "empty interval [1.0, 0.0]"),
+    (-1e308, 1e308, 3, "interval [-1e+308, 1e+308] is wider than the float64 range"),
+    (0.0, 1.0, 1, "need at least two grid points, got 1"),
+    (1e16, 1e16 + 8, 1000, "grid step 0.00800801 on [1e+16, 1.0000000000000008e+16] is below "
+                           "the float64 spacing 2 there: its samples cannot be told apart"),
+], ids=["empty", "reversed", "too wide", "one point", "step below spacing"])
+def test_bad_grid_raises_one_error(tmp_path, site, a, b, n, message):
+    build, error = GRID_SITES[site]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error) as raised:
+            build(tmp_path, a, b, n)
+    assert str(raised.value) == message

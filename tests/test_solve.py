@@ -1,5 +1,6 @@
 """Tests for stabilized solves, margins, and the error certificate."""
 
+import dataclasses
 import math
 import warnings
 from unittest import mock
@@ -16,21 +17,23 @@ from perturbreg import (
     RegConfig,
     SingularSystem,
     Stabilizer,
+    build_stabilizer,
     operators,
     regularized_derivative,
     resolvent_apply,
     solve,
+    solve_fredholm_regularized,
     solve_perturbed,
     stabilization_gap,
     stabilization_sweep,
 )
+from perturbreg.fredholm import project_rhs
 from perturbreg.solve import (
     PowerDelta,
     _assemble,
     SqrtDelta,
     c_alpha_estimate,
     coordinate_alpha,
-    invertibility_margin,
 )
 
 SHIFTED_SIZES = [2, 64, 1024]
@@ -79,11 +82,19 @@ class TestCoordinateAlpha:
 
 
 class TestRegConfig:
-    def test_alpha_and_rule_are_exclusive(self):
-        with pytest.raises(ValueError):
-            RegConfig(delta=0.1, alpha=0.1, rule=SqrtDelta())
-        with pytest.raises(ValueError):
-            RegConfig(delta=0.1)
+    def test_fields_are_delta_alpha_and_q_max(self):
+        assert [f.name for f in dataclasses.fields(RegConfig)] == ["delta", "alpha", "q_max"]
+        with pytest.raises(TypeError):
+            RegConfig(delta=0.1, rule=SqrtDelta())
+
+    def test_unset_alpha_is_the_solve_alpha(self):
+        A = DiscreteOperator.dense(2.0 * np.eye(4))
+        f = np.array([1.0, 2.0, 3.0, 4.0])
+        for alpha in (0.1, 0.5):
+            unset = solve_perturbed(A, Stabilizer.scalar_alpha(), alpha, f, RegConfig(delta=0.1))
+            pinned = solve_perturbed(A, Stabilizer.scalar_alpha(), alpha, f,
+                                     RegConfig(delta=0.1, alpha=alpha))
+            assert unset.solution.tobytes() == pinned.solution.tobytes()
 
     def test_bad_q_max(self):
         with pytest.raises(ValueError):
@@ -113,7 +124,7 @@ ALPHA_SITES = {
     "stabilization_gap": lambda A, alpha: stabilization_gap(A, Stabilizer.scalar_alpha(), alpha,
                                                             np.ones(4)),
     "solve_perturbed": lambda A, alpha: solve_perturbed(
-        A, Stabilizer.scalar_alpha(), alpha, np.ones(4), RegConfig(delta=0.01, rule=SqrtDelta())),
+        A, Stabilizer.scalar_alpha(), alpha, np.ones(4), RegConfig(delta=0.01)),
     "stabilization_sweep": lambda A, alpha: stabilization_sweep(
         A, Stabilizer.scalar_alpha(), [0.1, alpha], np.ones(4)),
     "c_alpha_estimate": lambda A, alpha: c_alpha_estimate(A, Stabilizer.scalar_alpha(), alpha),
@@ -140,13 +151,70 @@ class TestAlphaRule:
         assert str(raised.value) == f"alpha must be positive and finite, got {alpha}"
 
 
-class TestMargin:
-    def test_margin_is_product(self):
-        assert invertibility_margin(0.1, 20.0) == pytest.approx(2.0)
+# Every entry point that takes a vector, as a call given that vector on a
+# four-point operator and stabilizer; each entry holds the call, the name the
+# message gives the vector and the size it must match.
+_ONES = np.ones(4)
+_E0 = np.eye(4)[0]
+VECTOR_SITES = {
+    "solve_perturbed f_tilde": (lambda A, B, v: solve_perturbed(
+        A, B, 0.1, v, RegConfig(delta=0.01)), "f_tilde", "operator"),
+    "solve_perturbed x_star": (lambda A, B, v: solve_perturbed(
+        A, B, 0.1, _ONES, RegConfig(delta=0.01), x_star=v), "x_star", "rhs"),
+    "stabilization_gap": (lambda A, B, v: stabilization_gap(A, B, 0.1, v), "x_star", "operator"),
+    "stabilization_sweep": (lambda A, B, v: stabilization_sweep(A, B, [0.1, 0.2], v),
+                            "x_star", "operator"),
+    "solve_fredholm_regularized f_tilde": (lambda A, B, v: solve_fredholm_regularized(
+        A, build_stabilizer([_E0], [_E0]), v), "f_tilde", "operator"),
+    "solve_fredholm_regularized x_star": (lambda A, B, v: solve_fredholm_regularized(
+        A, build_stabilizer([_E0], [_E0]), _ONES, x_star=v), "x_star", "rhs"),
+    "project_rhs": (lambda A, B, v: project_rhs(v, build_stabilizer([_E0], [_E0])), "f", "basis"),
+    "apply": (lambda A, B, v: A.apply(v), "operand", "operator"),
+}
+# The sites that take a stabilizer run with alpha * I and a finite-rank one.
+VECTOR_SITES_WITH_B = ["solve_perturbed f_tilde", "solve_perturbed x_star",
+                       "stabilization_gap", "stabilization_sweep"]
 
-    def test_margin_rejects_negative(self):
-        with pytest.raises(ValueError):
-            invertibility_margin(-0.1, 1.0)
+
+def _grid_stabilizer():
+    ones = GridFunction(0.0, 1.0, _ONES)
+    return Stabilizer.finite_dim([ones], [ones])
+
+
+class TestVectorRule:
+    """Every vector must be one-dimensional and of its operator's size, at
+    every entry point, in one wording; a column would broadcast."""
+
+    @pytest.mark.parametrize("operator", ["dense", "volterra"])
+    @pytest.mark.parametrize("site, stabilizer", [
+        *((name, "scalar") for name in VECTOR_SITES),
+        *((name, "finite_rank") for name in VECTOR_SITES_WITH_B),
+    ])
+    @pytest.mark.parametrize("shape", ["column", "short"])
+    def test_bad_vector_raises_one_error(self, site, stabilizer, operator, shape):
+        A = DiscreteOperator.volterra(0.0, 1.0, 4) if operator == "volterra" \
+            else DiscreteOperator.dense(2.0 * np.eye(4))
+        B = _grid_stabilizer() if stabilizer == "finite_rank" else Stabilizer.scalar_alpha()
+        x = np.array([1.0, 2.0, 3.0, 4.0])
+        call, name, against = VECTOR_SITES[site]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as raised:
+                call(A, B, x[:, None] if shape == "column" else x[:3])
+        assert str(raised.value) == (
+            f"{name} must be one-dimensional, got shape (4, 1)" if shape == "column"
+            else f"{name} size 3 does not match {against} size 4")
+
+    def test_grid_weighted_gap_of_a_vector(self):
+        # a column x* would broadcast against the trapezoid weights into 1.1111
+        A = DiscreteOperator.dense(2.0 * np.eye(4))
+        x = np.array([1.0, 2.0, 3.0, 4.0])
+        gap = stabilization_gap(A, _grid_stabilizer(), 0.1, x)
+        assert gap == pytest.approx(5.0 / 6.0, rel=1e-15)
+        assert stabilization_sweep(A, _grid_stabilizer(), [0.1, 0.2], x) == [(0.1, gap),
+                                                                              (0.2, gap)]
+        assert stabilization_gap(A, _grid_stabilizer(), 0.1,
+                                 GridFunction(0.0, 1.0, x)) == gap
 
 
 class TestSolvePerturbed:
