@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BiorthogonalityFailed, DegenerateGram
-from .operators import DiscreteOperator, Stabilizer, _as_vector, _stack_vectors
+from .operators import DiscreteOperator, Stabilizer, _as_matrix, _as_vector, _stack_vectors
 from .solve import RegConfig, SolveReport, solve_perturbed
 
 _BIORTHO_TOL = 1e-10
@@ -51,16 +51,13 @@ def nullspace_basis(matrix: np.ndarray, rtol: float = 1e-10) -> tuple[np.ndarray
     """Orthonormal null-space bases (phis, psis) of a square matrix via SVD.
 
     Directions with singular value sigma_i < rtol * sigma_max count as null.
-    Returns (k, n) stacks of right (matrix @ phi = 0) and left
-    (matrix.T @ psi = 0) null vectors; both are empty when the matrix has
-    full numerical rank.
+    The matrix must be square, nonempty and finite, as for
+    ``DiscreteOperator.dense``. Returns (k, n) stacks of right
+    (matrix @ phi = 0) and left (matrix.T @ psi = 0) null vectors; both are
+    empty when the matrix has full numerical rank.
     """
-    m = np.asarray(matrix, dtype=float)
-    u, s, vt = np.linalg.svd(m)
-    if s.size == 0 or s[0] == 0.0:
-        null_mask = np.ones(s.size, dtype=bool)
-    else:
-        null_mask = s < rtol * s[0]
+    u, s, vt = np.linalg.svd(_as_matrix(matrix))
+    null_mask = s < rtol * s[0] if s[0] > 0.0 else np.ones(s.size, dtype=bool)
     return vt[null_mask].copy(), u[:, null_mask].T.copy()
 
 
@@ -94,6 +91,9 @@ def build_stabilizer(phis, psis, gammas=None, zs=None) -> FredholmBasis:
 
     Raises
     ------
+    ValueError
+        If a list breaks the rule of ``Stabilizer.finite_dim`` or the lists
+        disagree in shape.
     DegenerateGram
         If det <phi_i, gamma_k> is numerically zero; the stabilizer would
         leave some null direction unshifted.

@@ -20,13 +20,6 @@ _SCAN_LAGS = np.subtract.outer(np.arange(_SCAN_BLOCK), np.arange(_SCAN_BLOCK))
 _SCAN_LAGS[_SCAN_LAGS < 0] = _SCAN_BLOCK + 1
 
 
-def trapezoid_weights(n: int, h: float) -> np.ndarray:
-    """Quadrature weights h * [1/2, 1, ..., 1, 1/2] on a uniform n-point grid."""
-    w = np.full(n, h)
-    w[0] = w[-1] = 0.5 * h
-    return w
-
-
 def running_trapezoid(y: np.ndarray, h: float) -> np.ndarray:
     """Running trapezoid integral of uniform samples y with spacing h; the first value is 0.
 
@@ -103,6 +96,18 @@ def _as_vector(x, n: int, name: str, against: str = "operator") -> np.ndarray:
     return v
 
 
+def _as_matrix(matrix) -> np.ndarray:
+    """matrix as a float array of shape (n, n) with n >= 1 and finite entries."""
+    m = np.asarray(matrix, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"matrix must be square, got shape {m.shape}")
+    if m.size == 0:
+        raise ValueError(f"matrix must not be empty, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix entries must be finite")
+    return m
+
+
 @dataclass(frozen=True)
 class DiscreteOperator:
     """A dense matrix, or the running trapezoid integral on a described grid.
@@ -118,12 +123,7 @@ class DiscreteOperator:
 
     @classmethod
     def dense(cls, matrix: np.ndarray) -> "DiscreteOperator":
-        m = np.asarray(matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"matrix must be square, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("matrix entries must be finite")
-        return cls(matrix=m)
+        return cls(matrix=_as_matrix(matrix))
 
     @classmethod
     def volterra(cls, a: float, b: float, n: int) -> "DiscreteOperator":
@@ -204,9 +204,15 @@ class DiscreteOperator:
 
 
 def _stack_vectors(vectors, name: str) -> np.ndarray:
-    """Grid functions or vectors as the raveled rows of one (k, n) array; all finite."""
-    stacked = np.vstack([np.asarray(v.values if isinstance(v, GridFunction) else v,
-                                    dtype=float).ravel() for v in vectors])
+    """At least one vector, each by the vector rule and of the size of the first,
+    as the rows of one (k, n) array; all finite. A grid function gives its values."""
+    vectors = list(vectors)
+    if not vectors:
+        raise ValueError(f"{name} must hold at least one vector")
+    first = vectors[0]
+    n = np.size(first.values if isinstance(first, GridFunction) else first)
+    stacked = np.vstack([_as_vector(v, n, f"{name}[{i}]", f"{name}[0]")
+                         for i, v in enumerate(vectors)])
     if not np.all(np.isfinite(stacked)):
         raise ValueError(f"{name} must be finite")
     return stacked
@@ -217,14 +223,13 @@ class Stabilizer:
     """alpha * I, or a fixed finite-rank operator  x -> sum_i <x, gamma_i> z_i.
 
     The finite-rank variant does not depend on alpha at all; its job is to
-    shift the degenerate directions of the operator it is added to. ``weights``
-    are the inner-product weights (trapezoid weights for grid functions,
-    None for the plain Euclidean dot product).
+    shift the degenerate directions of the operator it is added to. The
+    pairing is the plain sum <x, gamma_i> = sum_k x_k gamma_ik, for grid
+    functions as for arrays.
     """
 
     gammas: np.ndarray | None = None
     zs: np.ndarray | None = None
-    weights: np.ndarray | None = None
 
     @classmethod
     def scalar_alpha(cls) -> "Stabilizer":
@@ -234,23 +239,14 @@ class Stabilizer:
     def finite_dim(cls, gammas: Sequence, zs: Sequence) -> "Stabilizer":
         """Finite-rank stabilizer from matching lists of vectors or grid functions.
 
-        When the inputs are grid functions they must share one grid, and the
-        pairing <., gamma_i> becomes the trapezoid approximation of the L2
-        product on that grid.
+        Each list holds at least one vector; each entry is one-dimensional and
+        of the size of the first, and a grid function gives its values.
         """
         g = _stack_vectors(gammas, "gammas")
         z = _stack_vectors(zs, "zs")
         if g.shape != z.shape:
             raise ValueError(f"gammas and zs disagree in shape: {g.shape} vs {z.shape}")
-        weights = None
-        grid_like = [v for v in list(gammas) + list(zs) if isinstance(v, GridFunction)]
-        if grid_like:
-            ref = grid_like[0]
-            for v in grid_like[1:]:
-                if (v.a, v.b, v.n) != (ref.a, ref.b, ref.n):
-                    raise ValueError("grid functions in a stabilizer must share one grid")
-            weights = trapezoid_weights(ref.n, ref.h)
-        return cls(gammas=g, zs=z, weights=weights)
+        return cls(gammas=g, zs=z)
 
     @property
     def is_scalar(self) -> bool:
@@ -260,18 +256,21 @@ class Stabilizer:
     def rank(self) -> int:
         return 0 if self.is_scalar else self.gammas.shape[0]
 
+    def _check_size(self, n: int) -> None:
+        """ValueError unless the finite-rank stabilizer acts on vectors of size n."""
+        if self.gammas.shape[1] != n:
+            raise ValueError(f"stabilizer built for size {self.gammas.shape[1]}, asked for {n}")
+
     def apply(self, alpha: float, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if self.is_scalar:
             return alpha * x
-        xw = x if self.weights is None else self.weights * x
-        return self.zs.T @ (self.gammas @ xw)
+        self._check_size(len(x))
+        return self.zs.T @ (self.gammas @ x)
 
     def materialize(self, alpha: float, n: int) -> np.ndarray:
         """Dense n x n matrix of the stabilizer evaluated at alpha."""
         if self.is_scalar:
             return alpha * np.eye(n)
-        if self.gammas.shape[1] != n:
-            raise ValueError(f"stabilizer built for size {self.gammas.shape[1]}, asked for {n}")
-        g = self.gammas if self.weights is None else self.gammas * self.weights
-        return self.zs.T @ g
+        self._check_size(n)
+        return self.zs.T @ self.gammas

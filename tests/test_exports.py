@@ -54,6 +54,11 @@ def literal_starts() -> list[str]:
     "is wider than the float64 range",
     "need at least two grid points",
     "must be one-dimensional",
+    "stabilizer built for size",
+    "must hold at least one vector",
+    "matrix must be square",
+    "matrix must not be empty",
+    "matrix entries must be finite",
 ])
 def test_each_input_rule_is_written_once(message):
     # The CLI's own flag checks, such as "--delta must be ...", name the flag

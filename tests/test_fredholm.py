@@ -138,9 +138,9 @@ class TestBuildStabilizer:
         with pytest.raises(ValueError, match=f"^{name} must be finite$"):
             build_stabilizer(**vectors)
 
-    def test_grid_functions_and_column_vectors_accepted(self):
+    def test_grid_functions_accepted(self):
         basis = build_stabilizer([e(0, 3)], [e(2, 3)], gammas=[e(0, 3) + e(1, 3)])
-        as_grid = build_stabilizer([GridFunction(0.0, 1.0, e(0, 3))], [e(2, 3).reshape(3, 1)],
+        as_grid = build_stabilizer([GridFunction(0.0, 1.0, e(0, 3))], [e(2, 3)],
                                    gammas=[GridFunction(0.0, 1.0, e(0, 3) + e(1, 3))])
         for field in ("phis", "psis", "gammas", "zs"):
             np.testing.assert_array_equal(getattr(as_grid, field), getattr(basis, field))

@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import cumulative_trapezoid
 
-from perturbreg import DiscreteOperator, GridFunction, Stabilizer
+from perturbreg import (DiscreteOperator, GridFunction, Stabilizer, build_stabilizer,
+                        nullspace_basis)
 from perturbreg.operators import (
     cumulative_trapezoid_matrix,
     first_order_scan,
     running_trapezoid,
-    trapezoid_weights,
 )
 
 
@@ -25,17 +25,6 @@ def loop_scan(u, r):
         acc = r * acc + value
         w[i] = acc
     return w
-
-
-class TestTrapezoidWeights:
-    def test_total_mass_is_interval_length(self):
-        w = trapezoid_weights(11, 0.1)
-        assert w.sum() == pytest.approx(1.0, rel=1e-14)
-
-    def test_endpoints_halved(self):
-        w = trapezoid_weights(5, 0.25)
-        assert w[0] == w[-1] == pytest.approx(0.125)
-        np.testing.assert_allclose(w[1:-1], 0.25)
 
 
 class TestCumulativeMatrix:
@@ -307,21 +296,6 @@ class TestFiniteDimStabilizer:
         assert s.rank == 1
         assert not s.is_scalar
 
-    def test_grid_functions_use_trapezoid_pairing(self):
-        # gamma = 1 on [0, 1]: <t, gamma> is the trapezoid integral of t, exactly 1/2
-        n = 101
-        t = np.linspace(0.0, 1.0, n)
-        gamma = GridFunction(0.0, 1.0, np.ones(n))
-        z = GridFunction(0.0, 1.0, np.ones(n))
-        s = Stabilizer.finite_dim([gamma], [z])
-        np.testing.assert_allclose(s.apply(1.0, t), np.full(n, 0.5), atol=1e-14)
-
-    def test_grid_functions_must_share_grid(self):
-        g1 = GridFunction(0.0, 1.0, np.ones(5))
-        g2 = GridFunction(0.0, 2.0, np.ones(5))
-        with pytest.raises(ValueError):
-            Stabilizer.finite_dim([g1], [g2])
-
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             Stabilizer.finite_dim([np.ones(3)], [np.ones(3), np.ones(3)])
@@ -333,10 +307,65 @@ class TestFiniteDimStabilizer:
         with pytest.raises(ValueError, match="^zs must be finite$"):
             Stabilizer.finite_dim([np.ones(3)], [bad])
 
-    def test_column_vectors_are_raveled(self):
+    def test_column_vectors_are_rejected(self):
         gamma, z = np.array([1.0, 2.0, 0.0]), np.array([0.0, 1.0, 0.0])
-        s = Stabilizer.finite_dim([gamma.reshape(3, 1)], [z.reshape(3, 1)])
-        np.testing.assert_array_equal(s.materialize(1.0, 3), np.outer(z, gamma))
+        with pytest.raises(ValueError, match=r"^gammas\[0\] must be one-dimensional"):
+            Stabilizer.finite_dim([gamma.reshape(3, 1)], [z])
+        with pytest.raises(ValueError, match=r"^zs\[0\] must be one-dimensional"):
+            Stabilizer.finite_dim([gamma], [z.reshape(3, 1)])
+
+
+# Every list of stabilizer vectors, as a call given that list beside valid
+# lists of length-3 vectors.
+_E0 = np.eye(3)[0]
+STACK_SITES = {
+    **{f"build_stabilizer {name}": (name, lambda vs, name=name: build_stabilizer(
+        **{"phis": [_E0], "psis": [_E0], "gammas": [_E0], "zs": [_E0], name: vs}))
+       for name in ("phis", "psis", "gammas", "zs")},
+    **{f"finite_dim {name}": (name, lambda vs, name=name: Stabilizer.finite_dim(
+        **{"gammas": [_E0], "zs": [_E0], name: vs}))
+       for name in ("gammas", "zs")},
+}
+
+
+class TestStackRule:
+    """Every list of stabilizer vectors holds at least one, each by the vector
+    rule and of the size of the first, in one wording; none is raveled."""
+
+    @pytest.mark.parametrize("site", STACK_SITES)
+    @pytest.mark.parametrize("vectors, message", [
+        ([], "{} must hold at least one vector"),
+        ([np.ones(3), np.ones(4)], "{}[1] size 4 does not match {}[0] size 3"),
+        ([np.ones((3, 1))], "{}[0] must be one-dimensional, got shape (3, 1)"),
+        ([np.ones((2, 2))], "{}[0] must be one-dimensional, got shape (2, 2)"),
+        (np.ones(3), "{}[0] must be one-dimensional, got shape ()"),
+    ], ids=["empty", "ragged", "column", "matrix", "bare vector"])
+    def test_bad_stack_raises_one_error(self, site, vectors, message):
+        name, call = STACK_SITES[site]
+        with pytest.raises(ValueError) as raised:
+            call(vectors)
+        assert str(raised.value) == message.format(name, name)
+
+
+class TestMatrixRule:
+    """A matrix must be square, nonempty and finite, in one wording, for an
+    operator and for its null spaces."""
+
+    @pytest.mark.parametrize("build", [DiscreteOperator.dense, nullspace_basis],
+                             ids=["dense", "nullspace_basis"])
+    @pytest.mark.parametrize("matrix, message", [
+        (np.ones((2, 3)), "matrix must be square, got shape (2, 3)"),
+        (np.ones(3), "matrix must be square, got shape (3,)"),
+        (np.zeros((0, 0)), "matrix must not be empty, got shape (0, 0)"),
+        (np.array([[1.0, np.nan], [0.0, 1.0]]), "matrix entries must be finite"),
+        (np.array([[1.0, np.inf], [0.0, 1.0]]), "matrix entries must be finite"),
+    ], ids=["wide", "vector", "empty", "nan", "inf"])
+    def test_bad_matrix_raises_one_error(self, build, matrix, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as raised:
+                build(matrix)
+        assert str(raised.value) == message
 
     def test_materialize_checks_size(self):
         s = Stabilizer.finite_dim([np.ones(4)], [np.ones(4)])

@@ -205,16 +205,48 @@ class TestVectorRule:
             f"{name} must be one-dimensional, got shape (4, 1)" if shape == "column"
             else f"{name} size 3 does not match {against} size 4")
 
-    def test_grid_weighted_gap_of_a_vector(self):
-        # a column x* would broadcast against the trapezoid weights into 1.1111
+    def test_grid_gap_of_a_vector(self):
+        # the plain sum pairs x* with the ones: (2 I + 1 1^T) y = 10 * ones gives 5/3
         A = DiscreteOperator.dense(2.0 * np.eye(4))
         x = np.array([1.0, 2.0, 3.0, 4.0])
         gap = stabilization_gap(A, _grid_stabilizer(), 0.1, x)
-        assert gap == pytest.approx(5.0 / 6.0, rel=1e-15)
+        assert gap == pytest.approx(5.0 / 3.0, rel=1e-15)
         assert stabilization_sweep(A, _grid_stabilizer(), [0.1, 0.2], x) == [(0.1, gap),
                                                                               (0.2, gap)]
         assert stabilization_gap(A, _grid_stabilizer(), 0.1,
                                  GridFunction(0.0, 1.0, x)) == gap
+
+
+# Every entry point that pairs a stabilizer with an operator, as a call on
+# that pair.
+SIZE_SITES = {
+    "stabilization_gap": lambda A, B: stabilization_gap(A, B, 0.1, np.ones(A.size)),
+    "stabilization_sweep": lambda A, B: stabilization_sweep(A, B, [0.1, 0.2], np.ones(A.size)),
+    "solve_perturbed": lambda A, B: solve_perturbed(A, B, 0.1, np.ones(A.size),
+                                                    RegConfig(delta=0.01)),
+    "solve_perturbed exact": lambda A, B: solve_perturbed(
+        A, B, 0.1, np.ones(A.size), RegConfig(delta=0.01), x_star=np.ones(A.size), A_exact=A),
+    "c_alpha_estimate": lambda A, B: c_alpha_estimate(A, B, 0.1),
+    "apply": lambda A, B: B.apply(0.1, np.ones(A.size)),
+    "materialize": lambda A, B: B.materialize(0.1, A.size),
+}
+
+
+class TestStabilizerSizeRule:
+    """A finite-rank stabilizer must match its operator's size, at every entry
+    point, in one wording, before any product."""
+
+    @pytest.mark.parametrize("operator", ["dense", "volterra"])
+    @pytest.mark.parametrize("site", SIZE_SITES)
+    def test_wrong_size_raises_one_error(self, site, operator):
+        A = DiscreteOperator.volterra(0.0, 1.0, 3) if operator == "volterra" \
+            else DiscreteOperator.dense(2.0 * np.eye(3))
+        B = Stabilizer.finite_dim([np.ones(4)], [np.ones(4)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as raised:
+                SIZE_SITES[site](A, B)
+        assert str(raised.value) == "stabilizer built for size 4, asked for 3"
 
 
 class TestSolvePerturbed:
