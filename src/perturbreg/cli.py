@@ -20,14 +20,21 @@ that differ from that form only by '\\r\\n' line ends, blank lines, or spaces
 and tabs around fields. numpy's text parser reads them, with the
 long-double one (C ``strtold``) where that is the x87 80-bit format and the
 float64 one elsewhere, and each value comes out exactly as ``float()``
-reads it. The line loop, one ``float()`` call per field, takes the rest and
-names the line of a bad value. numpy is handed bytes, never a file name, so
-it neither decompresses by suffix nor fetches a URL-like path.
+reads it. The line loop, one ``float()`` call per field, takes the lines
+from the first block that is not plain and names the line of a bad value.
+numpy is handed bytes, never a file name, so it neither decompresses by
+suffix nor fetches a URL-like path.
+
+A command starts at most one thread of its own, and only for work that
+waits without the GIL: the plain reader's worker converts every other
+block with ``np.fromstring``, and ``experiment``'s writer creates, writes
+and renames the run files. The output bytes are the same as on one thread.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import dataclasses
 import errno
@@ -36,6 +43,7 @@ import json
 import math
 import os
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -85,8 +93,9 @@ def _cannot_write(path, exc: OSError) -> _OutputError:
 
 
 @contextlib.contextmanager
-def _atomic_open(path):
-    """A text file for writing at ``path``; it appears, whole, when the block ends.
+def _atomic_fd(path):
+    """A descriptor open for writing; the file appears at ``path``, whole,
+    when the block ends, and the caller closes the descriptor before that.
 
     A new temp file ``<path>.<8 random hex digits>`` beside the destination,
     then rename: readers never see a half-written file, and two identical
@@ -105,8 +114,7 @@ def _atomic_open(path):
     except OSError as exc:
         raise _cannot_write(path, exc) from exc
     try:
-        with os.fdopen(fd, "w") as fh:
-            yield fh
+        yield fd
         os.replace(tmp_name, path)
     except BaseException as exc:
         with contextlib.suppress(OSError):
@@ -116,9 +124,116 @@ def _atomic_open(path):
         raise
 
 
+@contextlib.contextmanager
+def _atomic_open(path):
+    """A text file for writing at ``path``; it appears, whole, when the block ends."""
+    with _atomic_fd(path) as fd, os.fdopen(fd, "w") as fh:
+        yield fh
+
+
 def _atomic_write(path: Path, text: str) -> None:
     with _atomic_open(path) as fh:
         fh.write(text)
+
+
+def _write_batch(batch) -> None:
+    """Write each (path, bytes) pair of ``batch`` in turn as ``_atomic_open``
+    writes a file, in plain os calls: no text layer holds the GIL while the
+    kernel creates, writes and renames, so a thread of its own can wait on
+    them."""
+    for path, data in batch:
+        with _atomic_fd(path) as fd:
+            try:
+                written = 0
+                while written < len(data):
+                    written += os.write(fd, data[written:])
+            finally:
+                os.close(fd)
+
+
+def _write_files(batches, threaded: bool) -> None:
+    """Write each of ``batches``, lists of (path, bytes) pairs, in turn by
+    ``_write_batch``; the first failure ends the writing.
+
+    When ``threaded``, a thread of its own writes each batch while the next
+    ones are made, one at most waiting for it, and the failure is raised
+    here.
+    """
+    if not threaded:
+        for batch in batches:
+            _write_batch(batch)
+        return
+    writer = _Worker(_write_batch, "run-files")
+    try:
+        waiting = 0  # batches put and not yet got
+        for batch in batches:
+            if waiting == 2:
+                writer.get()
+                waiting -= 1
+            writer.put(batch)
+            waiting += 1
+        for _ in range(waiting):
+            writer.get()
+    finally:
+        writer.close()
+
+
+class _Handoff:
+    """Items passed from one thread to another in turn: queue.SimpleQueue,
+    without the four modules that importing queue loads on a cold start."""
+
+    def __init__(self):
+        self._items = collections.deque()
+        self._ready = threading.Semaphore(0)
+
+    def put(self, item) -> None:
+        self._items.append(item)
+        self._ready.release()
+
+    def get(self):
+        self._ready.acquire()
+        return self._items.popleft()
+
+
+class _Worker:
+    """A thread of its own that applies ``work`` to each item put, in turn.
+
+    ``get`` returns the result for the oldest item not yet got, or raises
+    what ``work`` raised; the items put after that one are dropped
+    unworked, and the caller gets no more. ``close`` ends the thread once
+    it is done with what it holds.
+    """
+
+    _STOP = object()
+
+    def __init__(self, work, name: str):
+        self._jobs, self._results = _Handoff(), _Handoff()
+        self._thread = threading.Thread(target=self._run, args=(work,), name=name)
+        self._thread.start()
+
+    def _run(self, work) -> None:
+        failed = False
+        for item in iter(self._jobs.get, self._STOP):
+            if failed:
+                continue
+            try:
+                result = work(item)
+            except Exception as exc:  # raised again in get()
+                result, failed = exc, True
+            self._results.put(result)
+
+    def put(self, item) -> None:
+        self._jobs.put(item)
+
+    def get(self):
+        result = self._results.get()
+        if isinstance(result, Exception):
+            raise result
+        return result
+
+    def close(self) -> None:
+        self._jobs.put(self._STOP)
+        self._thread.join()
 
 
 @contextlib.contextmanager
@@ -179,11 +294,11 @@ def _csv_matrix(columns: list, rows: int) -> np.ndarray:
     return m
 
 
-def _cut_rows(text: str, rows: int) -> list[str]:
-    """The ASCII CSV ``text`` cut into pieces of ``rows`` lines."""
-    ends = np.flatnonzero(np.frombuffer(text.encode("ascii"), np.uint8) == ord("\n"))
+def _cut_rows(data: bytes, rows: int) -> list[bytes]:
+    """The CSV ``data`` cut into pieces of ``rows`` lines."""
+    ends = np.flatnonzero(np.frombuffer(data, np.uint8) == ord("\n"))
     ends = (ends[rows - 1::rows] + 1).tolist()
-    return [text[start:end] for start, end in zip([0, *ends], ends)]
+    return [data[start:end] for start, end in zip([0, *ends], ends)]
 
 
 def _write_csv(fh, header: list[str], columns: list) -> None:
@@ -205,7 +320,7 @@ class _CsvError(Exception):
 _PLAIN_FIELD_BYTES = b"0123456789.eE+-"
 _IS_FIELD_BYTE = np.zeros(256, bool)
 _IS_FIELD_BYTE[list(_PLAIN_FIELD_BYTES)] = True
-_PLAIN_BLOCK_BYTES = 1 << 18
+_PLAIN_BLOCK_BYTES = 1 << 16
 _FLOAT64_TINY = 2.2250738585072014e-308  # the least normal float64
 
 
@@ -240,14 +355,23 @@ def _read_csv(fh, path) -> tuple[list[str], np.ndarray]:
     if not _next_filled_line(fh)[1]:
         raise _CsvError("need a header line and at least one data row")
     header = [field.strip() for field in header_line.split(",")]
-    # The line loop takes what _read_plain does not (a lone '\r', a space
-    # inside a field, an empty field, '1_0', non-ASCII digits, whitespace
-    # other than ' \t') and names the line of a bad or non-finite value.
-    data = _read_plain(path, skip, len(header))
-    if data is None or not np.isfinite(data).all():
-        fh.seek(0)
-        data = _parse_rows(list(map(str.strip, fh.read().split("\n"))), len(header))
-    return header, data
+    # The line loop takes the lines from the first block _read_plain does not
+    # take (a lone '\r', a space inside a field, an empty field, '1_0',
+    # non-ASCII digits, whitespace other than ' \t') to the end, and names the
+    # line of a bad or non-finite value. A bad value anywhere wins over a
+    # non-finite one, so a plain block that holds one sends the whole file
+    # through the line loop.
+    data, plain_lines = _read_plain(path, skip, len(header))
+    finite = np.isfinite(data).all()
+    if plain_lines is None and finite:
+        return header, data
+    if not finite:
+        data, plain_lines = data[:0], 0
+    before = skip + plain_lines
+    fh.seek(0)
+    rest = fh.read().split("\n", before)[-1].split("\n")
+    return header, np.concatenate([data, _parse_rows(list(map(str.strip, rest)), len(header),
+                                                     before + 1)])
 
 
 @functools.cache
@@ -256,38 +380,47 @@ def _long_double_is_x87() -> bool:
     return np.finfo(np.longdouble).nmant == 63 and np.dtype(np.longdouble).itemsize == 16
 
 
-def _read_plain(path, skip: int, width: int) -> np.ndarray | None:
-    """The rows after the ``skip`` lines that end at the header; None unless plain.
+def _read_plain(path, skip: int, width: int) -> tuple[np.ndarray, int | None]:
+    """The rows of the plain blocks after the ``skip`` lines that end at the
+    header, up to the first block that is not plain, and the lines they
+    span; None for the lines when every block is plain.
 
-    Plain: as it is or _unspaced, each line holds ``width`` fields of
-    _PLAIN_FIELD_BYTES joined by ',', and the skipped lines hold no lone
-    '\\r' (so text mode counted the same lines). The file is read in blocks
-    of whole lines into one array grown in place.
+    Plain: as it is or _unspaced, each line of the block holds ``width``
+    fields of _PLAIN_FIELD_BYTES joined by ','. No block counts when the
+    skipped lines hold a lone '\\r', as text mode would count other lines.
+    The file is read in blocks of whole lines into one array grown in place.
     """
-    with open(path, "rb") as raw:
+    data = np.empty((0, width))
+    with open(path, "rb") as raw, warnings.catch_warnings():
+        # A field not read to its end: numpy 2 raises, numpy 1.x warns. The
+        # filter is process-wide, so it is set here, around the whole life
+        # of the worker thread that converts blocks.
+        warnings.simplefilter("error", DeprecationWarning)
         if any(b"\r" in raw.readline().replace(b"\r\n", b"") for _ in range(skip)):
-            return None
+            return data, 0
         start = raw.tell()
         size = raw.seek(0, os.SEEK_END)
         raw.seek(start)
-        data = np.empty((0, width))
         filled = consumed = 0
-        for block in _whole_lines(raw):
-            values = _parse_plain(block, width)
-            if values is None and (unspaced := _unspaced(block, width)) is not None:
-                values = _parse_plain(unspaced, width)
-            if values is None:
-                return None
-            consumed += len(block)
-            rows = filled + len(values)
-            if rows > len(data):
-                # room for the whole file at the bytes per row read so far
-                projected = rows * (size - start) // consumed
-                data.resize((max(rows, projected * 65 // 64 + 1), width), refcheck=False)
-            data[filled:rows] = values
-            filled = rows
+        every_block = True
+        with contextlib.closing(_plain_blocks(_whole_lines(raw), width)) as blocks:
+            for block, values in blocks:
+                if values is None:
+                    every_block = False
+                    break
+                consumed += len(block)
+                rows = filled + len(values)
+                if rows > len(data):
+                    # room for the whole file at the bytes per row read so far
+                    projected = rows * (size - start) // consumed
+                    data.resize((max(rows, projected * 65 // 64 + 1), width), refcheck=False)
+                data[filled:rows] = values
+                filled = rows
+        if not every_block:
+            raw.seek(start)
+            plain_lines = raw.read(consumed).count(b"\n")
     data.resize((filled, width), refcheck=False)
-    return data
+    return data, None if every_block else plain_lines
 
 
 def _whole_lines(raw):
@@ -323,25 +456,103 @@ def _unspaced(block: bytes, width: int) -> bytes | None:
     return block if runs in (None, block.count(b"\n") * width) else None
 
 
-def _parse_plain(block: bytes, width: int) -> np.ndarray | None:
-    """The rows in the whole lines ``block`` as float() reads them; None unless plain."""
-    rows = block.count(b"\n")
-    if block.translate(None, _PLAIN_FIELD_BYTES) != (b"," * (width - 1) + b"\n") * rows:
-        return None
-    fields = block.replace(b"\n", b",")
+def _plain_blocks(blocks, width: int):
+    """Each of ``blocks`` in turn with its rows as float() reads them; None
+    for the rows of a block that is not plain.
+
+    Where np.longdouble is the x87 format, one worker thread converts the
+    second block of each pair while this thread converts the first: strtold
+    runs without the GIL, the grammar checks this thread makes first do
+    not. All but the conversion stays on this thread, in block order. A
+    file's last block, often short, is thus a second block or left alone.
+    numpy's float64 reader takes the GIL back for every value, so there the
+    blocks are converted in turn on this thread.
+    """
     # strtold (x87) beats numpy's float64 reader, which elsewhere gives
     # float()'s bits: it converts with the routine float() uses.
     x87 = _long_double_is_x87()
+    dtype = np.longdouble if x87 else float
+    blocks = iter(blocks)
+    worker = None
     try:
-        with warnings.catch_warnings():
-            # a field not read to its end: numpy 2 raises, numpy 1.x warns
-            warnings.simplefilter("error", DeprecationWarning)
-            parsed = np.fromstring(fields, dtype=np.longdouble if x87 else float, sep=",")
+        for first in blocks:
+            second = next(blocks, None) if x87 else None
+            mine = _checked(first, width)
+            if second is not None:
+                if worker is None:
+                    # It runs only np.fromstring: the warnings filter that
+                    # makes numpy 1.x's warning an error is process-wide and
+                    # the caller sets it, np.errstate holds per thread, and
+                    # perfbench's tracer keeps one span stack for the process.
+                    worker = _Worker(functools.partial(_convert, dtype=dtype), "csv-convert")
+                theirs = _checked(second, width)
+                worker.put(theirs[0])
+            yield first, _block_rows(first, width, mine, _convert(mine[0], dtype), dtype)
+            if second is not None:
+                yield second, _block_rows(second, width, theirs, worker.get(), dtype)
+    finally:
+        if worker is not None:
+            worker.close()
+
+
+def _plain_fields(block: bytes, width: int) -> tuple[bytes, int] | None:
+    """The fields of the whole lines ``block`` joined by ',', and its rows;
+    None unless each line holds ``width`` fields of _PLAIN_FIELD_BYTES
+    joined by ','."""
+    separators = block.translate(None, _PLAIN_FIELD_BYTES)
+    rows = len(separators) // width
+    if separators != (b"," * (width - 1) + b"\n") * rows:
+        return None
+    return block.replace(b"\n", b","), rows
+
+
+def _checked(block: bytes, width: int) -> tuple[bytes | None, int, bool]:
+    """(fields, rows, as_is): ``_plain_fields`` of ``block`` as it is, else of
+    its _unspaced form, and whether they came from the block as it is;
+    fields None when neither is plain."""
+    plain = _plain_fields(block, width)
+    if plain is not None:
+        return *plain, True
+    unspaced = _unspaced(block, width)
+    plain = None if unspaced is None else _plain_fields(unspaced, width)
+    return (None, 0, False) if plain is None else (*plain, False)
+
+
+def _convert(fields: bytes | None, dtype) -> np.ndarray | None:
+    """np.fromstring's values of ``fields``; None without fields or when
+    numpy cannot read them to their end."""
+    if fields is None:
+        return None
+    try:
+        return np.fromstring(fields, dtype=dtype, sep=",")
     except (ValueError, DeprecationWarning):
         return None
-    if parsed.size != rows * width:
+
+
+def _block_rows(block: bytes, width: int, checked, parsed: np.ndarray | None, dtype
+                ) -> np.ndarray | None:
+    """The rows of ``block`` from ``parsed``, the conversion of its
+    ``_checked`` fields; None unless plain.
+
+    Fields of the block as it is that do not give its rows are tried again
+    from its _unspaced form, as a one-column block with a blank line passes
+    the grammar and numpy then meets an empty field.
+    """
+    fields, rows, as_is = checked
+    values = _float64_rows(parsed, fields, rows, width)
+    if values is None and as_is and (unspaced := _unspaced(block, width)) is not None \
+            and (plain := _plain_fields(unspaced, width)) is not None:
+        values = _float64_rows(_convert(plain[0], dtype), *plain, width)
+    return values
+
+
+def _float64_rows(parsed: np.ndarray | None, fields: bytes | None, rows: int, width: int
+                  ) -> np.ndarray | None:
+    """``rows`` rows of ``width`` floats as float() reads ``fields`` from
+    their conversion ``parsed``; None unless it holds that many values."""
+    if parsed is None or parsed.size != rows * width:
         return None
-    if not x87:
+    if parsed.dtype == np.float64:
         return parsed.reshape(rows, width)
     with np.errstate(over="ignore"):
         values = parsed.astype(float)
@@ -361,9 +572,10 @@ def _parse_plain(block: bytes, width: int) -> np.ndarray | None:
     return values.reshape(rows, width)
 
 
-def _parse_rows(lines: list[str], width: int) -> np.ndarray:
-    """The data rows of the stripped file ``lines`` converted one by one with float()."""
-    numbered = [(num, line) for num, line in enumerate(lines, start=1) if line][1:]
+def _parse_rows(lines: list[str], width: int, first: int) -> np.ndarray:
+    """The rows of the stripped data ``lines``, the first of which is line
+    ``first`` of the file, converted one by one with float()."""
+    numbered = [(num, line) for num, line in enumerate(lines, start=first) if line]
     rows = []
     for num, line in numbered:
         fields = line.split(",")
@@ -373,7 +585,7 @@ def _parse_rows(lines: list[str], width: int) -> np.ndarray:
             rows.append([float(field) for field in fields])
         except ValueError as exc:
             raise _CsvError(f"line {num}: {exc}") from exc
-    data = np.asarray(rows, dtype=float)
+    data = np.array(rows, dtype=float).reshape(len(rows), width)
     finite = np.isfinite(data).all(axis=1)
     if not finite.all():
         raise _CsvError(f"line {numbered[int(np.argmin(finite))][0]}: non-finite value")
@@ -544,12 +756,22 @@ def _cmd_experiment(args) -> int:
     except OSError as exc:
         raise _cannot_write(args.out, exc) from exc
     per_text = max(1, CSV_BLOCK_ROWS // len(grid))
-    for start in range(0, len(runs), per_text):
-        batch = runs[start:start + per_text]
-        text = _csv_text(None, [np.tile(grid, len(batch)),
-                                np.concatenate([rep.derivative.values for _, rep in batch])])
-        for path, part in zip(run_paths[start:start + per_text], _cut_rows(text, len(grid))):
-            _atomic_write(path, "t,dy\n" + part)
+
+    def run_files():
+        # The bytes a text file writes: '\n' becomes os.linesep, and ASCII
+        # reads the same in every locale encoding.
+        head = ("t,dy" + os.linesep).encode("ascii")
+        for start in range(0, len(runs), per_text):
+            batch = runs[start:start + per_text]
+            text = _csv_text(None, [np.tile(grid, len(batch)),
+                                    np.concatenate([rep.derivative.values for _, rep in batch])])
+            parts = _cut_rows(text.replace("\n", os.linesep).encode("ascii"), len(grid))
+            yield [(path, head + part)
+                   for path, part in zip(run_paths[start:start + per_text], parts)]
+
+    # With more than one text, the files of one are written while the next
+    # is formatted. Everything after the run files waits for them.
+    _write_files(run_files(), threaded=len(runs) > per_text)
 
     header = ["delta", "alpha", "seed_count",
               "median_max_error_full", "median_max_error_interior"]

@@ -305,20 +305,22 @@ def _refined_gap(inverse: np.ndarray, A_exact: DiscreteOperator, B: Stabilizer, 
     from y = 0 and b = B(alpha) x*, each with two products of O(n^2) (the
     running integral applies in O(n)), until the residual lies at LU level,
     n * eps * norm * ||y||_inf, with ``norm`` a bound on
-    ||A_exact + B(alpha)||_inf. A step that does not shrink the residual
+    ||A_exact + B(alpha)||_inf, plus eps * ||b||_inf for the rounding of the
+    subtraction from b itself. A step that does not shrink the residual
     ends the refinement.
     """
     level = inverse.shape[0] * _EPS * norm
     if not math.isfinite(level):
         return None
     b = B.apply(alpha, x_star)
+    floor = _EPS * float(np.max(np.abs(b)))
     y = np.zeros(b.shape)
     residual, last = b, math.inf
     for _ in range(_GAP_STEPS):
         y += inverse @ residual
         residual = b - A_exact.apply(y) - B.apply(alpha, y)
         size, left = float(np.max(np.abs(y))), float(np.max(np.abs(residual)))
-        if left <= level * size:
+        if left <= level * size + floor:
             return size
         if not left < last:
             return None

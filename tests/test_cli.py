@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import decimal
+import errno
 import gzip
 import io
 import json
@@ -9,6 +10,8 @@ import os
 import stat
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 import warnings
 from decimal import Decimal
@@ -545,7 +548,7 @@ class TestCsvReader:
         path.write_bytes(text.encode())
         plain = record_plain_reads(monkeypatch)
         assert reader_taken(monkeypatch, path) == (csv_outcome(read_csv_by_lines, path), reader)
-        assert (plain[0] is None) == (reader == "line loop")
+        assert (plain[0][1] is not None) == (reader == "line loop")
 
     def test_balanced_field_counts_name_the_first_ragged_line(self, tmp_path, capsys):
         path = tmp_path / "in.csv"
@@ -573,8 +576,8 @@ def assert_reads_as_float(tmp_path, fields, width=1):
     path = tmp_path / "plain.csv"
     path.write_text(",".join("xyz"[:width]) + "\n" + "".join(
         ",".join(fields[i:i + width]) + "\n" for i in range(0, len(fields), width)))
-    data = cli._read_plain(path, 1, width)
-    assert data is not None and data.shape == (len(fields) // width, width)
+    data, rest = cli._read_plain(path, 1, width)
+    assert rest is None and data.shape == (len(fields) // width, width)
     expected = np.array([float(field) for field in fields])
     wrong = np.flatnonzero(data.ravel().view(np.uint64) != expected.view(np.uint64))
     assert [fields[i] for i in wrong] == []
@@ -648,7 +651,8 @@ class TestPlainReader:
     def test_last_line_without_newline_is_read(self, tmp_path, end):
         path = tmp_path / "in.csv"
         path.write_bytes(b"t,y\n0,1\n0.5,2" + end.encode())
-        assert cli._read_plain(path, 1, 2).tolist() == [[0.0, 1.0], [0.5, 2.0]]
+        data, rest = cli._read_plain(path, 1, 2)
+        assert rest is None and data.tolist() == [[0.0, 1.0], [0.5, 2.0]]
 
     def test_non_finite_value_names_its_line(self, tmp_path, monkeypatch, capsys):
         path = tmp_path / "in.csv"
@@ -656,7 +660,7 @@ class TestPlainReader:
         plain = record_plain_reads(monkeypatch)
         assert main(["differentiate", str(path), "--alpha", "0.1"]) == 2
         assert capsys.readouterr().err == "error: malformed CSV: line 4: non-finite value\n"
-        assert np.isinf(plain[0][2, 1])
+        assert np.isinf(plain[0][0][2, 1])
 
     def test_a_numpy_1_warning_falls_through_and_does_not_escape(self, tmp_path, monkeypatch):
         def warning_fromstring(*args, **kwargs):
@@ -670,10 +674,187 @@ class TestPlainReader:
         monkeypatch.setattr(np, "fromstring", warning_fromstring)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert cli._read_plain(path, 1, 2) is None
+            assert cli._read_plain(path, 1, 2)[1] == 0
             assert reader_taken(monkeypatch, path) == \
                 (csv_outcome(read_csv_by_lines, path), "line loop")
         assert caught == []
+
+
+@pytest.fixture
+def started_threads(monkeypatch):
+    """A list of every threading.Thread made while the test runs."""
+    made = []
+
+    class Recorded(threading.Thread):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(threading, "Thread", Recorded)
+    return made
+
+
+# A plain line of 23 bytes, and lines of the same length that are not
+# plain as they are, with the reader that then takes the rest of the file.
+PLAIN_LINE = "{:06d}.5,{:+.6e}\n"
+ODD_LINES = {
+    "underscore": ("{:06d}.5,+1_234567e-01\n", "line loop"),
+    "spaced": ("{:06d}.5, +1.23456e-01\n", "plain"),
+    "crlf": ("{:06d}.5,+1.234567e-1\r\n", "plain"),
+    "lone-cr": ("{:06d}.5\r+1.234567e-01\n", "line loop"),
+    "unconvertible": ("{:06d}.5,+1.2345e-0e-1\n", "line loop"),
+    "non-finite": ("{:06d}.5,+1.23456e+999\n", "line loop"),
+}
+LINES_PER_BLOCK = 5
+
+
+def blocked_csv(path, blocks, odd_block=None, odd="underscore"):
+    """A t,y CSV of ``blocks`` blocks of LINES_PER_BLOCK 23-byte lines, with
+    line 3 of block ``odd_block`` (counted from 0) an ODD_LINES line."""
+    values = np.random.default_rng(blocks).standard_normal(blocks * LINES_PER_BLOCK)
+    lines = [PLAIN_LINE.format(i, v) for i, v in enumerate(values)]
+    if odd_block is not None:
+        i = odd_block * LINES_PER_BLOCK + 2
+        lines[i] = ODD_LINES[odd][0].format(i)
+    assert {len(line) for line in lines} == {23}
+    path.write_bytes(("t,y\n" + "".join(lines)).encode())
+    return path
+
+
+def line_loop_calls(monkeypatch):
+    """A list of the (lines, first line number) of every _parse_rows call."""
+    calls = []
+    parse_rows = cli._parse_rows
+
+    def recording(lines, width, first):
+        calls.append((lines, first))
+        return parse_rows(lines, width, first)
+
+    monkeypatch.setattr(cli, "_parse_rows", recording)
+    return calls
+
+
+# The worker converts only strtold's blocks: numpy's float64 reader takes the
+# GIL back for every value.
+needs_worker = pytest.mark.skipif(not X87, reason="np.longdouble is not the x87 format")
+
+
+class TestPlainReaderWorker:
+    """From the second block on, a worker thread converts every other block."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(cli, "_PLAIN_BLOCK_BYTES", 23 * LINES_PER_BLOCK)
+
+    @pytest.mark.parametrize("blocks, odd_block", [
+        (1, None), (2, None), (3, None), (8, None), (1, 0), (2, 0), (2, 1), (3, 1), (3, 2),
+        (8, 0), (8, 5), (8, 6), (8, 7)])
+    @pytest.mark.parametrize("odd", ODD_LINES)
+    def test_each_block_reads_as_float_does(self, tmp_path, monkeypatch, plain_branch,
+                                           started_threads, blocks, odd_block, odd):
+        path = blocked_csv(tmp_path / "in.csv", blocks, odd_block, odd)
+        expected = csv_outcome(read_csv_by_lines, path)
+        reader = "plain" if odd_block is None else ODD_LINES[odd][1]
+        filters, threads = list(warnings.filters), threading.active_count()
+        calls = line_loop_calls(monkeypatch)
+        assert reader_taken(monkeypatch, path) == (expected, reader)
+        assert warnings.filters == filters and threading.active_count() == threads
+        assert len(started_threads) == (blocks > 1 and X87 and plain_branch == "native")
+        if reader == "line loop":
+            # the line loop reads from the first line of the block that is
+            # not plain, or the whole file for a value that is not finite
+            first = 2 if odd == "non-finite" else 2 + odd_block * LINES_PER_BLOCK
+            ((lines, start),) = calls
+            assert start == first
+            assert lines[0] == path.read_text().split("\n")[first - 1].strip()
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_PLAIN_BLOCK_BYTES", 1 << 20)  # one block, read in turn
+            assert csv_outcome(read_csv_columns, path) == expected
+
+    @pytest.mark.parametrize("odd_block", [None, 1, 3])
+    def test_one_column_blank_lines_on_either_side(self, tmp_path, monkeypatch, plain_branch,
+                                                   started_threads, odd_block):
+        # a blank line passes the one-column grammar, numpy rejects the
+        # empty field, and the block's _unspaced form is read instead
+        lines = [f"{i:08d}\n" for i in range(6 * 4)]
+        if odd_block is not None:
+            lines[odd_block * 4 + 1] = "0000005\n\n"
+        monkeypatch.setattr(cli, "_PLAIN_BLOCK_BYTES", 9 * 4)
+        path = tmp_path / "in.csv"
+        path.write_text("x\n" + "".join(lines))
+        assert reader_taken(monkeypatch, path) == (csv_outcome(read_csv_by_lines, path), "plain")
+        assert len(started_threads) == (X87 and plain_branch == "native")
+
+    def test_late_break_reads_only_the_lines_after_the_plain_blocks(self, tmp_path,
+                                                                    monkeypatch):
+        # a file whose last line alone is not plain is not parsed twice
+        monkeypatch.setattr(cli, "_PLAIN_BLOCK_BYTES", 1 << 18)
+        t = np.linspace(0.0, 3.0, 30000)
+        path = tmp_path / "in.csv"
+        np.savetxt(path, np.column_stack([t, np.sin(t)]), fmt="%.17g", delimiter=",",
+                   header="t,y", comments="")
+        with open(path, "a") as fh:
+            fh.write("3,1_0\n")
+        calls = line_loop_calls(monkeypatch)
+        assert reader_taken(monkeypatch, path) == \
+            (csv_outcome(read_csv_by_lines, path), "line loop")
+        ((lines, first),) = calls
+        assert first > 20000 and lines[-2:] == ["3,1_0", ""]
+
+    @needs_worker
+    def test_a_numpy_1_warning_on_the_worker_falls_through(self, tmp_path, monkeypatch):
+        # numpy 1.x warns on the second block, the worker's, and on its retry
+        fromstring, threads = np.fromstring, set()
+
+        def warns_on_the_second_block(fields, *args, **kwargs):
+            if b"000007.5," in fields:
+                threads.add(threading.current_thread().name)
+                warnings.warn("string or file could not be read to its end due to "
+                              "unmatched data; this will raise a ValueError in the future.",
+                              DeprecationWarning, stacklevel=2)
+            return fromstring(fields, *args, **kwargs)
+
+        path = blocked_csv(tmp_path / "in.csv", 4)
+        monkeypatch.setattr(np, "fromstring", warns_on_the_second_block)
+        calls = line_loop_calls(monkeypatch)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert reader_taken(monkeypatch, path) == \
+                (csv_outcome(read_csv_by_lines, path), "line loop")
+        assert caught == []
+        assert threads == {"csv-convert", threading.main_thread().name}
+        assert calls[0][1] == 2 + LINES_PER_BLOCK
+
+    @needs_worker
+    def test_an_error_on_the_worker_is_raised_by_the_caller(self, tmp_path, monkeypatch,
+                                                           capsys):
+        fromstring = np.fromstring
+
+        def fails_off_the_main_thread(*args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                raise MemoryError("cannot allocate the values")
+            return fromstring(*args, **kwargs)
+
+        path = blocked_csv(tmp_path / "in.csv", 4)
+        monkeypatch.setattr(np, "fromstring", fails_off_the_main_thread)
+        threads = threading.active_count()
+        assert main(["differentiate", str(path), "--alpha", "0.1"]) == 2
+        assert capsys.readouterr().err == "error: cannot allocate the values\n"
+        assert threading.active_count() == threads
+
+    @needs_worker
+    def test_many_blocks_with_a_short_switch_interval(self, tmp_path, monkeypatch):
+        # one line a block, and the threads switched as often as they can be
+        monkeypatch.setattr(cli, "_PLAIN_BLOCK_BYTES", 23)
+        path = blocked_csv(tmp_path / "in.csv", 80)
+        expected = csv_outcome(read_csv_by_lines, path)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            outcomes = [csv_outcome(read_csv_columns, path) for _ in range(20)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(outcome == expected for outcome in outcomes)
 
 
 class TestDifferentiate:
@@ -1379,6 +1560,89 @@ class TestExperiment:
         assert proc.stderr == (
             "warning: alpha=0.0316228 is below the grid spacing h=0.0393701\n")
         assert proc.stdout == (tmp_path / "runs" / "example2_table.csv").read_text()
+
+
+class TestRunFileWriter:
+    """A study of more than one text writes its run files on a thread of its own."""
+
+    DELTAS, SEEDS = (0.1, 0.01, 0.001), tuple(range(21, 28))  # 21 runs, 8 to a text at n = 512
+
+    def argv(self, example, outdir):
+        return ["experiment", "--example", str(example), "--n", "512",
+                "--deltas", ",".join(map(repr, self.DELTAS)), "--seeds", str(len(self.SEEDS)),
+                "--seed", str(self.SEEDS[0]), "--out", str(outdir)]
+
+    def run_names(self, example):
+        return [f"example{example}_delta{fmt(delta)}_seed{seed}.csv"
+                for delta in self.DELTAS for seed in self.SEEDS]
+
+    @pytest.mark.parametrize("example", [1, 2])
+    def test_files_hold_what_the_text_layer_writes(self, tmp_path, capsys, started_threads,
+                                                   example):
+        outdir, reference = tmp_path / "runs", tmp_path / "reference.csv"
+        threads = threading.active_count()
+        assert main(self.argv(example, outdir)) == 0
+        assert [t.name for t in started_threads] == ["run-files"]
+        assert threading.active_count() == threads
+        rows = convergence_study(example, list(self.DELTAS), list(self.SEEDS), n=512)
+        reports = [rep for row in rows for rep in row.reports]
+        for name, rep in zip(self.run_names(example), reports, strict=True):
+            with open(reference, "w") as fh:
+                fh.write(csv_by_value(["t", "dy"], [rep.derivative.t, rep.derivative.values]))
+            assert (outdir / name).read_bytes() == reference.read_bytes()
+        assert capsys.readouterr().out == (outdir / f"example{example}_table.csv").read_text()
+        assert len(list(outdir.iterdir())) == len(reports) + 2
+
+    @pytest.mark.parametrize("k", [1, 2, 8, 9, 16, 17, 21])
+    def test_failed_rename_stops_the_writing(self, tmp_path, capsys, monkeypatch, k):
+        # the k-th run file cannot be renamed into place: the runs before it
+        # stay, none after it is written, not even those of a text already
+        # waiting for the writer, and neither table nor plot is
+        replace, calls = os.replace, []
+
+        def fails_on_call_k(src, dst):
+            calls.append(dst)
+            if len(calls) == k:
+                time.sleep(0.05)  # while the next text is made and waits
+                raise OSError(errno.EACCES, os.strerror(errno.EACCES))
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", fails_on_call_k)
+        outdir = tmp_path / "runs"
+        threads = threading.active_count()
+        assert main(self.argv(1, outdir)) == 2
+        names = self.run_names(1)
+        assert capsys.readouterr() == \
+            ("", f"error: cannot write {outdir / names[k - 1]}: Permission denied\n")
+        assert sorted(p.name for p in outdir.iterdir()) == sorted(names[:k - 1])
+        assert [Path(dst).name for dst in calls] == names[:k]
+        assert threading.active_count() == threads
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, capsys, monkeypatch):
+        write, calls = os.write, []
+
+        def fails_on_the_third_file(fd, data):
+            calls.append(fd)
+            if len(calls) == 3:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return write(fd, data)
+
+        monkeypatch.setattr(os, "write", fails_on_the_third_file)
+        outdir = tmp_path / "runs"
+        assert main(self.argv(2, outdir)) == 2
+        names = self.run_names(2)
+        assert capsys.readouterr() == \
+            ("", f"error: cannot write {outdir / names[2]}: No space left on device\n")
+        assert sorted(p.name for p in outdir.iterdir()) == sorted(names[:2])
+
+    @pytest.mark.parametrize("argv", [
+        ["--deltas", "0.01", "--seeds", "1", "--n", "512"],  # one run file
+        ["--deltas", "0.1,0.01,0.001", "--seeds", "4", "--n", "64"],  # runs of one text
+    ], ids=["one-run", "one-text"])
+    def test_a_study_of_one_text_starts_no_thread(self, tmp_path, started_threads, argv):
+        outdir = tmp_path / "runs"
+        assert main(["experiment", "--example", "1", *argv, "--out", str(outdir)]) == 0
+        assert started_threads == []
 
 
 class TestSweep:

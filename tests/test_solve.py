@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from perturbreg import (
@@ -721,6 +721,8 @@ class TestRefinedGap:
     @settings(max_examples=100, deadline=None)
     @given(n=st.integers(2, 40), log_cond=st.floats(0.0, 8.0), log_noise=st.floats(-12.0, -1.0),
            log_alpha=st.floats(-6.0, 0.0), seed=st.integers(0, 2**32 - 1))
+    # the rounding of b - K y itself, eps * ||b||_inf, once held this one above its level
+    @example(n=2, log_cond=0.0, log_noise=-3.0, log_alpha=0.0, seed=7643)
     def test_refined_gap_is_the_lu_gap_to_lu_level(self, n, log_cond, log_noise, log_alpha,
                                                    seed):
         rng = np.random.default_rng(seed)
